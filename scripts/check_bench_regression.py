@@ -4,7 +4,7 @@
 Usage::
 
     python scripts/check_bench_regression.py FRESH.json \
-        [--baseline BENCH_PR5.json] [--tolerance 0.20]
+        [--baseline BENCH_PR12.json] [--tolerance 0.20]
 
 Compares the fresh bench run's ``figure7.cold_seconds`` against the
 committed baseline, normalized by relative machine speed (the scalar
@@ -16,8 +16,8 @@ normalized baseline fails with exit code 1.
 When BOTH files carry a ``contention`` section, the contention-charging
 overhead ratios (contended wall-clock / uncontended wall-clock, already
 machine-independent) are gated with the same tolerance.  A baseline
-predating the contention axis is simply skipped, so the committed
-BENCH_PR5.json stays valid.
+predating the contention axis is simply skipped, so older committed
+baselines (BENCH_PR5.json) stay valid.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fresh", help="bench JSON produced by this CI run")
     parser.add_argument(
-        "--baseline", default="BENCH_PR5.json",
+        "--baseline", default="BENCH_PR12.json",
         help="committed reference bench JSON",
     )
     parser.add_argument(

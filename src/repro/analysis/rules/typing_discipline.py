@@ -22,6 +22,7 @@ STRICT_CORE = (
     "repro.analysis",
     "repro.api",
     "repro.campaign",
+    "repro.cache.native",
     "repro.cache.store",
     "repro.serve",
     "repro.sim.contention",

@@ -1,13 +1,15 @@
 """Microbenchmarks for the simulation hot path (``python -m repro bench``).
 
 Times the cache kernels (scalar reference, vectorized engine, memoized
-execution), the preemptive budget loop (scalar rows and the PR-5
-quantum-batched executor), one figure-7 concurrent mix end to end with
-the fast engine enabled and disabled, a cold/warm multi-job figure-7
-campaign against the persistent memo store, and the open-system smoke's
-warm-start behaviour — then writes the results as JSON (default
-``BENCH_PR5.json``) so the performance trajectory is tracked from PR 2
-onward.  ``--quick`` shrinks every workload to CI-smoke size.
+execution, compiled LRU kernel), the preemptive budget loop (scalar rows
+and the compiled kernel), the fast preemptive driver against the scalar
+one, one figure-7 concurrent mix end to end with the fast engine enabled
+and disabled, a cold/warm multi-job figure-7 campaign against the
+persistent memo store, and the open-system smoke's warm-start behaviour
+— then writes the results as JSON (default ``BENCH_PR12.json``) so the
+performance trajectory is tracked from PR 2 onward.  ``--quick`` shrinks
+every workload to CI-smoke size.  The kernel columns are ``null`` where
+no C compiler can build the kernel.
 
 All numbers are wall-clock seconds (best of ``repeats``) or derived
 accesses/second; the JSON also embeds the memo hit statistics of the
@@ -32,6 +34,7 @@ import numpy as np
 from repro.cache.fast_engine import analyze_trace, simulate_trace, warm_adjust
 from repro.cache.geometry import CacheGeometry
 from repro.cache.memo import TRACE_MEMO, set_fast_cache, set_trace_memo
+from repro.cache.native import KernelState, KernelTrace, kernel
 from repro.cache.sa_cache import SetAssociativeCache
 
 #: Wall-clock figure-7 time of the pre-PR scalar implementation,
@@ -56,11 +59,17 @@ def _best(fn, repeats: int = 3) -> float:
     return best
 
 
+def _mps(accesses: int, seconds: float | None) -> float | None:
+    """Millions of accesses per second, or None for an absent engine."""
+    return None if seconds is None else round(accesses / seconds / 1e6, 2)
+
+
 def _bench_kernels(quick: bool) -> dict:
-    """Scalar vs vectorized vs memoized whole-trace execution."""
+    """Scalar vs vectorized vs memoized vs compiled whole-trace execution."""
     geometry = CacheGeometry(8192, 2, 32)
     n = 20_000 if quick else 200_000
     rng = np.random.default_rng(7)
+    library = kernel()
     results = {}
     for label, lines in (
         ("random", rng.integers(0, 4096, size=n).astype(np.int64)),
@@ -92,14 +101,21 @@ def _bench_kernels(quick: bool) -> dict:
         def adjusted():
             warm_adjust(analysis, warm_sets, warm_dirty)
 
+        kernel_trace = KernelTrace(lines, writes, np.zeros(n, dtype=np.int64))
+
+        def compiled():
+            KernelState(library, geometry).run_trace(kernel_trace)
+
         scalar_s = _best(scalar)
         vector_s = _best(vectorized)
         adjust_s = _best(adjusted)
+        kernel_s = _best(compiled) if library is not None else None
         results[label] = {
             "accesses": n,
             "scalar_mps": round(n / scalar_s / 1e6, 2),
             "vectorized_mps": round(n / vector_s / 1e6, 2),
             "memo_adjust_mps": round(n / adjust_s / 1e6, 2),
+            "kernel_mps": _mps(n, kernel_s),
             "vectorized_speedup": round(scalar_s / vector_s, 2),
             "memo_adjust_speedup": round(scalar_s / adjust_s, 1),
         }
@@ -107,7 +123,8 @@ def _bench_kernels(quick: bool) -> dict:
 
 
 def _bench_budget(quick: bool) -> dict:
-    """The preemptive (RRS) budget loop, list-reconversion fix included."""
+    """The preemptive (RRS) budget loop: scalar rows, per-quantum array
+    reconversion, and the compiled kernel, at the paper's 8k quantum."""
     geometry = CacheGeometry(8192, 2, 32)
     n = 20_000 if quick else 100_000
     rng = np.random.default_rng(11)
@@ -135,25 +152,37 @@ def _bench_budget(quick: bool) -> dict:
                 lines, None, index, 2, 77, None, 8000
             )
 
+    library = kernel()
+    kernel_trace = KernelTrace(
+        lines, np.zeros(n, dtype=bool), np.full(n, 3, dtype=np.int64)
+    )
+
+    def run_kernel():
+        state = KernelState(library, geometry)
+        index = 0
+        while index < n:
+            index, _, _ = state.run_budget(kernel_trace, index, 75, 8000)
+
     rows_s = _best(run_rows)
     arrays_s = _best(run_arrays)
+    kernel_s = _best(run_kernel) if library is not None else None
     return {
         "accesses": n,
         "rows_mps": round(n / rows_s / 1e6, 2),
         "array_reconvert_mps": round(n / arrays_s / 1e6, 2),
         "rows_speedup": round(arrays_s / rows_s, 2),
+        "kernel_mps": _mps(n, kernel_s),
     }
 
 
 def _bench_quantum_batch(quick: bool) -> dict:
-    """The quantum-batched preemptive driver vs the scalar rows loop.
+    """The fast preemptive driver vs the scalar rows loop.
 
-    Runs one RRS mix at a 32k-cycle quantum — comfortably above the
-    adaptive batching threshold (:data:`repro.sim.qplan.MIN_BATCH_WINDOW`)
-    — so the compiled-plan executor is active, then repeats with
-    batching disabled.  At the paper's default 8k quantum the driver
-    measures below the threshold and keeps the scalar loop, so the
-    interesting number is the batched regime's speedup.
+    Runs one RRS mix at a 32k-cycle quantum, then repeats with batching
+    disabled.  The fast driver is the compiled kernel where it loads;
+    without it, the quantum is comfortably above the adaptive batching
+    threshold (:data:`repro.sim.qplan.MIN_BATCH_WINDOW`), so the
+    compiled-plan executor is active.
     """
     from dataclasses import replace as dc_replace
 
@@ -431,12 +460,14 @@ def render_bench(results: dict) -> str:
         lines.append(
             f"  {label:7s} scalar {row['scalar_mps']:6.2f} M acc/s | "
             f"vectorized {row['vectorized_mps']:6.2f} M acc/s | "
-            f"memo-adjust {row['memo_adjust_mps']:8.2f} M acc/s"
+            f"memo-adjust {row['memo_adjust_mps']:8.2f} M acc/s | "
+            f"kernel {row['kernel_mps']} M acc/s"
         )
     budget = results["budget_loop"]
     lines.append(
         f"  budget  rows {budget['rows_mps']:6.2f} M acc/s "
-        f"({budget['rows_speedup']}x vs per-quantum reconversion)"
+        f"({budget['rows_speedup']}x vs per-quantum reconversion) | "
+        f"kernel {budget['kernel_mps']} M acc/s"
     )
     qbatch = results["quantum_batch"]
     lines.append(

@@ -9,6 +9,9 @@ The MPSoC in the paper gives each core a private L1 data cache (Table 2:
   hit/miss statistics, used per-core by the simulator;
 - :class:`MissClassifier` — compulsory/capacity/conflict classification
   via an infinite-tag set and a fully-associative shadow cache;
+- :mod:`repro.cache.native` — the compiled LRU kernel, built with the
+  system C compiler on first use and loaded with ctypes; the simulator's
+  fast path wherever it loads, bit-identical to the scalar model;
 - :func:`simulate_trace` / :class:`CacheState` — the vectorized
   reuse-distance engine that executes whole traces with NumPy passes,
   bit-identical to the scalar model (see ``docs/PERFORMANCE.md``);

@@ -22,14 +22,20 @@ results are bit-identical to cold scalar execution.
 The memo is in-process (each campaign worker builds its own) and
 bounded: when full, the oldest entries are evicted in insertion order.
 
+Where the compiled LRU kernel (:mod:`repro.cache.native`) loads, the
+simulator drivers run every trace through it instead, and neither this
+memo nor the vectorized engine is consulted; they are the path for
+machines without a C compiler.
+
 Environment switches (read at import, overridable via
 :func:`set_fast_cache` / :func:`set_trace_memo`):
 
-- ``REPRO_FAST_CACHE=0`` — disable the vectorized engine *and* the memo;
-  every trace runs through the scalar reference cache.
+- ``REPRO_FAST_CACHE=0`` — disable the compiled kernel, the vectorized
+  engine *and* the memo; every trace runs through the scalar reference
+  cache.
 - ``REPRO_TRACE_MEMO=0`` — keep the vectorized engine for long traces
   but disable the analysis memo (useful for benchmarking the engine
-  alone).
+  alone; the kernel never uses the memo).
 """
 
 from __future__ import annotations
@@ -73,12 +79,12 @@ register_worker_state(
 
 
 def fast_cache_enabled() -> bool:
-    """Whether the vectorized engine path is active."""
+    """Whether the fast engines (compiled kernel, vectorized engine) are active."""
     return _fast_cache_enabled
 
 
 def set_fast_cache(enabled: bool) -> bool:
-    """Toggle the vectorized engine; returns the previous setting."""
+    """Toggle the fast engines; returns the previous setting."""
     global _fast_cache_enabled
     previous = _fast_cache_enabled
     _fast_cache_enabled = bool(enabled)
@@ -256,10 +262,5 @@ def _apply(
     end_state,
 ) -> None:
     """Install a trace execution's effects on the live cache."""
-    stats = cache.stats
-    stats.hits += counters[0]
-    stats.misses += counters[1]
-    stats.write_hits += counters[2]
-    stats.write_misses += counters[3]
-    stats.dirty_evictions += counters[4]
+    cache.stats.add(counters)
     cache.load_state(end_state)

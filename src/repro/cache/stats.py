@@ -32,6 +32,15 @@ class CacheStats:
         total = self.accesses
         return self.hits / total if total else 0.0
 
+    def add(self, counters: tuple[int, int, int, int, int]) -> None:
+        """Accumulate ``(hits, misses, write_hits, write_misses,
+        dirty_evictions)`` from one engine call."""
+        self.hits += counters[0]
+        self.misses += counters[1]
+        self.write_hits += counters[2]
+        self.write_misses += counters[3]
+        self.dirty_evictions += counters[4]
+
     def merged_with(self, other: "CacheStats") -> "CacheStats":
         """Element-wise sum (for aggregating per-core stats)."""
         return CacheStats(

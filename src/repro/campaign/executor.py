@@ -235,10 +235,11 @@ def _adopt_cached(run: RunSpec, cached: "RunResult") -> "RunResult":
 def execute_run(run: RunSpec) -> RunResult:
     """Execute one cell; pure function of the spec (workers call this).
 
-    A cell whose fast path (quantum batching, vectorized engine) raises
-    is transparently re-run under the pure scalar oracle — bit-identical
-    by construction — and the result carries the downgrade note, so one
-    bad compiled plan degrades one cell's speed, never a campaign.
+    A cell whose fast path (compiled kernel, quantum batching,
+    vectorized engine) raises is transparently re-run under the pure
+    scalar oracle — bit-identical by construction — and the result
+    carries the downgrade note, so one bad compiled plan degrades one
+    cell's speed, never a campaign.
     """
     fault_point("cell", run.cell_key())
     try:

@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CI-smoke sizes (seconds, not minutes)",
     )
     bench.add_argument(
-        "--output", type=str, default="BENCH_PR5.json",
+        "--output", type=str, default="BENCH_PR12.json",
         help="where to write the JSON results",
     )
 

@@ -53,12 +53,21 @@ Two state backends implement the per-core cache state:
 - **per-set lists** (associativity ≥ 3): the scalar cache's own MRU
   lists and dirty set, updated with a per-touched-set Python merge.
 
-Results are bit-identical to the scalar walk; the batched-vs-scalar
+When the compiled LRU kernel (:mod:`repro.cache.native`) loads, none of
+this compilation runs: the driver holds each core's tags in a
+:class:`~repro.cache.native.KernelState` and :func:`run_plan_quantum`
+executes every quantum in one kernel call over the trace reduced to
+contiguous ``lines``/``writes``/``base`` arrays
+(:class:`~repro.cache.native.KernelTrace`).  The compiled plans above
+are the path for machines without a C compiler.
+
+Results are bit-identical to the scalar walk; the kernel-vs-scalar
 equivalence suite (``tests/test_quantum_batch.py``) enforces this over
-hundreds of seeded closed and open runs.  ``REPRO_QUANTUM_BATCH=0`` (or
-:func:`set_quantum_batch`) restores the scalar per-access path; the
-batch also disables itself whenever the fast engine or the trace memo is
-off, keeping ``REPRO_FAST_CACHE=0`` a pure scalar oracle mode.
+hundreds of seeded closed and open runs, with and without the kernel.
+``REPRO_QUANTUM_BATCH=0`` (or :func:`set_quantum_batch`) restores the
+scalar per-access path; the kernel and the batch also disable themselves
+whenever the fast engine is off (the batch also when the trace memo is),
+keeping ``REPRO_FAST_CACHE=0`` a pure scalar oracle mode.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.memo import TraceMemo, memoized_analysis
+from repro.cache.native import KernelState, KernelTrace
 from repro.cache.sa_cache import SetAssociativeCache
 from repro.errors import ValidationError
 from repro.sim.trace import ProcessTrace
@@ -342,20 +352,24 @@ def compile_quantum_plan(
 
 def run_plan_quantum(
     cache: SetAssociativeCache,
-    plan: QuantumPlan,
+    plan: QuantumPlan | KernelTrace,
     start: int,
     miss_extra: int,
     budget: int,
-    table: WayTable | None = None,
+    table: WayTable | KernelState | None = None,
 ) -> tuple[int, int, int, int]:
     """Execute one quantum through the compiled plan.
 
     Drop-in for :meth:`SetAssociativeCache.run_budget_rows`: same
     ``(next_index, cycles_used, hits, misses)`` result, same stop rule,
-    same statistics — bit for bit.  With ``table`` (associativity ≤ 2)
-    the core's tag state lives in the table and the scalar ``cache``
-    only accumulates statistics; without it the scalar cache's per-set
-    lists and dirty set are read and rewritten in place.
+    same statistics — bit for bit.  A :class:`KernelTrace` plan (the
+    trace reduced to contiguous ``lines``/``writes``/``base`` arrays)
+    runs in one compiled-kernel call on the core's :class:`KernelState`.
+    A :class:`QuantumPlan` runs vectorized: with ``table``
+    (associativity ≤ 2) the core's tag state lives in the table, without
+    it the scalar cache's per-set lists and dirty set are read and
+    rewritten in place.  Either way the scalar ``cache`` accumulates the
+    statistics.
     """
     fault_point("qplan", "run")
     n = plan.num_accesses
@@ -365,6 +379,15 @@ def run_plan_quantum(
         raise ValidationError(f"budget must be positive, got {budget}")
     if start >= n:
         return start, 0, 0, 0
+    if isinstance(plan, KernelTrace) and isinstance(table, KernelState):
+        end, used, counters = table.run_budget(plan, start, miss_extra, budget)
+        cache.stats.add(counters)
+        return end, used, counters[0], counters[1]
+    if isinstance(plan, KernelTrace) or isinstance(table, KernelState):
+        raise ValidationError(
+            "a kernel plan runs only on kernel state, and kernel state "
+            "only runs kernel plans"
+        )
     i = start
     # Hard window bound: were every access a hit, the budget would be
     # spent after ``j0_full - i`` accesses; misses only add cost, so the

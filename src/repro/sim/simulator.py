@@ -56,12 +56,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-import numpy as np
-
+from repro.cache import native
 from repro.cache.memo import execute_trace, fast_cache_enabled, trace_memo_enabled
 from repro.cache.miss_classifier import MissClassifier
+from repro.cache.native import KernelState
 from repro.cache.sa_cache import SetAssociativeCache
-from repro.cache.stats import CacheStats
 from repro.errors import (
     InfeasibleScheduleError,
     SchedulingError,
@@ -238,8 +237,15 @@ class MPSoCSimulator:
         cache: SetAssociativeCache,
         classifier: MissClassifier | None,
         trace: ProcessTrace,
+        state: KernelState | None,
     ) -> tuple[int, int]:
         """Run a full trace; slow per-access path only when classifying."""
+        if state is not None:
+            counters = state.run_trace(
+                trace.kernel_trace(self._config.cache_hit_cycles)
+            )
+            cache.stats.add(counters)
+            return counters[0], counters[1]
         if classifier is None:
             if fast_cache_enabled():
                 return execute_trace(
@@ -274,6 +280,26 @@ class MPSoCSimulator:
             classifiers = None
         return caches, classifiers
 
+    @staticmethod
+    def _kernel_states(
+        caches: list[SetAssociativeCache], enabled: bool
+    ) -> list[KernelState] | None:
+        """Per-core compiled-kernel tag state, or None for the Python engines.
+
+        The kernel holds each core's tags for the whole run (the caches
+        then only accumulate statistics).  It is built on the first run
+        that asks for it.  None under the scalar oracle, when the kernel
+        is unavailable, or when the driver passes ``enabled=False``:
+        miss classification must see every access, and quantum batching
+        off keeps RRS on the scalar loop.
+        """
+        if not enabled or not fast_cache_enabled():
+            return None
+        library = native.kernel()
+        if library is None:
+            return None
+        return [KernelState(library, cache.geometry) for cache in caches]
+
     # -- static driver (LS / LSM) ----------------------------------------------------
 
     def _run_static(
@@ -294,6 +320,7 @@ class MPSoCSimulator:
                 "static plan must place every process exactly once"
             )
         caches, classifiers = self._make_caches()
+        states = self._kernel_states(caches, classifiers is None)
         contention = contention_model_for(self._config)
         queue_delay = [0] * num_cores
         transfers_of = [0] * num_cores
@@ -318,7 +345,9 @@ class MPSoCSimulator:
                     cache = caches[core]
                     evictions_before = cache.stats.dirty_evictions
                     classifier = classifiers[core] if classifiers else None
-                    hits, misses = self._run_whole_trace(cache, classifier, trace)
+                    hits, misses = self._run_whole_trace(
+                        cache, classifier, trace, states[core] if states else None
+                    )
                     evicted = cache.stats.dirty_evictions - evictions_before
                     duration = self._duration(trace, hits, misses)
                     duration += self._writeback_cycles(evicted)
@@ -385,6 +414,7 @@ class MPSoCSimulator:
     ) -> SimulationResult:
         num_cores = self._config.num_cores
         caches, classifiers = self._make_caches()
+        states = self._kernel_states(caches, classifiers is None)
         contention = contention_model_for(self._config)
         queue_delay = [0] * num_cores
         transfers_of = [0] * num_cores
@@ -441,7 +471,9 @@ class MPSoCSimulator:
                 cache = caches[core]
                 classifier = classifiers[core] if classifiers else None
                 evictions_before = cache.stats.dirty_evictions
-                hits, misses = self._run_whole_trace(cache, classifier, trace)
+                hits, misses = self._run_whole_trace(
+                    cache, classifier, trace, states[core] if states else None
+                )
                 evicted = cache.stats.dirty_evictions - evictions_before
                 duration = self._duration(trace, hits, misses)
                 duration += self._writeback_cycles(evicted)
@@ -552,19 +584,23 @@ class MPSoCSimulator:
             max(1, int(quantum * config.speed_for(core)))
             for core in range(num_cores)
         ]
-        # Quantum batching replaces the scalar per-access walk with the
-        # compiled-plan executor (repro.sim.qplan) — bit-identical, and
-        # gated on the fast engine so REPRO_FAST_CACHE=0 remains a pure
-        # scalar oracle mode.  Batching pays off only when quanta span
-        # enough accesses to amortize its per-quantum vector setup, so
-        # each core opts in by its expected window (budget over the
-        # run's mean per-access base cost); a core either batches every
-        # dispatch or none, keeping its tag state in one backend.  Cores
-        # with associativity ≤ 2 (the paper machine) keep that state in
-        # vectorized way tables; wider caches use the scalar cache's
-        # per-set lists in place.
+        # The compiled kernel, when it loads, holds every core's tags for
+        # the whole run and executes each quantum in one call.  Without
+        # it, quantum batching replaces the scalar per-access walk with
+        # the compiled-plan executor (repro.sim.qplan).  Both are
+        # bit-identical and gated on the fast engine, so
+        # REPRO_FAST_CACHE=0 remains a pure scalar oracle mode.  Batching
+        # pays off only when quanta span enough accesses to amortize its
+        # per-quantum vector setup, so each core opts in by its expected
+        # window (budget over the run's mean per-access base cost); a
+        # core either batches every dispatch or none, keeping its tag
+        # state in one backend.  Cores with associativity ≤ 2 (the paper
+        # machine) keep that state in vectorized way tables; wider caches
+        # use the scalar cache's per-set lists in place.
+        states = self._kernel_states(caches, quantum_batch_enabled())
         batch = (
-            quantum_batch_enabled()
+            states is None
+            and quantum_batch_enabled()
             and fast_cache_enabled()
             and trace_memo_enabled()
         )
@@ -625,7 +661,16 @@ class MPSoCSimulator:
             trace = traces[pid]
             cache = caches[core]
             evictions_before = cache.stats.dirty_evictions
-            if batch_core[core]:
+            if states is not None:
+                next_index, used, hits, misses = run_plan_quantum(
+                    cache,
+                    trace.kernel_trace(hit_cost),
+                    cursor[pid],
+                    miss_extra,
+                    budgets[core],
+                    states[core],
+                )
+            elif batch_core[core]:
                 num_sets, assoc = geometries[core]
                 next_index, used, hits, misses = run_plan_quantum(
                     cache,

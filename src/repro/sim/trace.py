@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.memo import trace_fingerprint
+from repro.cache.native import KernelTrace
 from repro.errors import ValidationError
 from repro.procgraph.process import Process
 from repro.util.memo import BoundedDict
@@ -118,6 +119,25 @@ class ProcessTrace:
             )
             caches.put(key, rows)
         return rows
+
+    def kernel_trace(self, hit_cost: int) -> KernelTrace:
+        """The trace in the compiled kernel's layout, cached per hit cost.
+
+        Its ``base`` costs fold the hit latency into the per-access
+        compute cycles, as :meth:`budget_rows` does; whole-trace runs
+        read only ``lines`` and ``writes``.
+        """
+        caches = getattr(self, "_kernel_traces", None)
+        if caches is None:
+            caches = BoundedDict(4)
+            object.__setattr__(self, "_kernel_traces", caches)
+        kernel_trace = caches.get(hit_cost)
+        if kernel_trace is None:
+            kernel_trace = KernelTrace(
+                self.lines, self.writes, self.extra_cycles + hit_cost
+            )
+            caches.put(hit_cost, kernel_trace)
+        return kernel_trace
 
 
 def build_trace(process: Process, layout, geometry: CacheGeometry) -> ProcessTrace:

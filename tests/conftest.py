@@ -54,6 +54,45 @@ def _env_restore(snapshot: dict[str, str | None]) -> None:
             os.environ[name] = value
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _kernel_build_cache(tmp_path_factory):
+    """Build the compiled LRU kernel into a session temp dir.
+
+    ``repro.cache.native`` caches its library under ``XDG_CACHE_HOME``;
+    pointing that at a fresh directory keeps the suite out of the
+    developer's home cache and makes every session prove that a cold
+    build works.  Subprocesses the tests start inherit it.
+    """
+    previous = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("xdg-cache"))
+    yield
+    if previous is None:
+        os.environ.pop("XDG_CACHE_HOME", None)
+    else:
+        os.environ["XDG_CACHE_HOME"] = previous
+
+
+@pytest.fixture(params=["kernel", "no-kernel"])
+def fast_engine(request, monkeypatch):
+    """Run a test once per fast engine the drivers can pick.
+
+    ``kernel``: the compiled LRU kernel (skipped where no C compiler
+    can build it).  ``no-kernel``: the loader forced to report no
+    kernel, so the Python vectorized/memo engine runs whole traces and
+    every shared-queue core batches its quanta through compiled plans.
+    """
+    import repro.sim.simulator as simulator_module
+    from repro.cache import native
+
+    if request.param == "kernel":
+        if native.kernel() is None:
+            pytest.skip("no C compiler: the compiled kernel is unavailable")
+    else:
+        monkeypatch.setattr(native, "kernel", lambda: None)
+        monkeypatch.setattr(simulator_module, "MIN_BATCH_WINDOW", 0)
+    return request.param
+
+
 @pytest.fixture(autouse=True)
 def _isolated_repro_env():
     """Snapshot/restore the REPRO_* variables around every test.

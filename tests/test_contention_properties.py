@@ -40,7 +40,7 @@ from repro.sim.contention import BusContention, NocContention
 from repro.sim.qplan import set_quantum_batch
 from repro.sim.simulator import MPSoCSimulator
 
-from test_quantum_batch import _epg, _force_batching
+from test_quantum_batch import _epg
 
 #: A budget so large the per-core share always covers a segment's need.
 HUGE_BUDGET = 1 << 40
@@ -194,14 +194,14 @@ class TestNullIdentity:
 
 
 class TestBatchedScalarEquality:
-    """Invariant 2: the quantum-batched and scalar paths charge alike."""
+    """Invariant 2: the fast (kernel or quantum-batched) and scalar paths
+    charge alike."""
 
     @pytest.mark.parametrize("name,params", CONTENTION_OVERRIDES)
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_runs_match(
-        self, monkeypatch, seed, name, params, small_machine
+        self, fast_engine, seed, name, params, small_machine
     ):
-        _force_batching(monkeypatch)
         epg = _epg(seed + 40)
         simulator = MPSoCSimulator(_machine(small_machine, name, params))
         set_quantum_batch(True)
@@ -216,9 +216,8 @@ class TestBatchedScalarEquality:
     @pytest.mark.parametrize("name,params", CONTENTION_OVERRIDES[:2])
     @pytest.mark.parametrize("seed", range(2))
     def test_open_runs_match(
-        self, monkeypatch, seed, name, params, small_machine
+        self, fast_engine, seed, name, params, small_machine
     ):
-        _force_batching(monkeypatch)
         epg = _epg(seed + 140)
         rng = np.random.default_rng(seed)
         schedule = ArrivalSchedule(

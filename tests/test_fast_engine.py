@@ -274,8 +274,9 @@ class TestBudgetRows:
 
 
 class TestCampaignMemoCorrectness:
-    def test_memoized_campaign_equals_cold_run(self):
-        """A campaign served by warm memos == the same campaign run cold."""
+    def test_memoized_campaign_equals_cold_run(self, fast_engine):
+        """A campaign served by warm memos == the same campaign run cold,
+        on either fast engine (only the no-kernel one analyzes traces)."""
         from repro.campaign.executor import clear_cell_memo, run_campaign
         from repro.campaign.spec import CampaignSpec, MachineVariant
         from repro.cache.memo import TRACE_MEMO
@@ -297,8 +298,9 @@ class TestCampaignMemoCorrectness:
         TRACE_MEMO.clear()
         clear_cell_memo()
         cold = snapshot(run_campaign(spec))
-        # Everything is now memoized: workloads, analyses, seed-invariant
-        # cells.  A re-run must reproduce the cold results exactly.
+        # Everything is now memoized: workloads, seed-invariant cells and,
+        # without the kernel, analyses.  A re-run must reproduce the cold
+        # results exactly.
         warm = snapshot(run_campaign(spec))
         assert warm == cold
 
