@@ -509,10 +509,10 @@ class ContentionFactory:
     :class:`~repro.sim.contention.ContentionModel` for one
     :class:`~repro.sim.config.MachineConfig`; ``params`` are the
     machine's :attr:`~repro.sim.config.MachineConfig.contention_params`
-    pairs.  Builders must be deterministic pure functions — the
-    simulator charges the model out of time order and across worker
-    processes, so any hidden state would break the batched-vs-scalar
-    and determinism oracles (``tests/test_contention_properties.py``).
+    pairs.  Builders must be deterministic pure functions — campaign
+    cells build and charge models in separate worker processes, so any
+    hidden state would break the batched-vs-scalar and determinism
+    oracles (``tests/test_contention_properties.py``).
     """
 
     name: str

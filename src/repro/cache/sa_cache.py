@@ -255,23 +255,13 @@ class SetAssociativeCache:
         set_mask = self._set_mask
         assoc = self._assoc
         dirty = self._dirty
-        # Plain lists pass through untouched: the preemptive driver calls
-        # this once per quantum, and re-converting the full trace on every
-        # dispatch made RRS O(trace_len × quanta).  ProcessTrace caches
-        # the converted lists (see ProcessTrace.as_lists).
-        line_list = (
-            lines
-            if isinstance(lines, list)
-            else np.asarray(lines, dtype=np.int64).tolist()
-        )
+        line_list = np.asarray(lines, dtype=np.int64).tolist()
         write_list = (
-            writes
-            if isinstance(writes, list) or writes is None
-            else np.asarray(writes, dtype=bool).tolist()
+            None if writes is None else np.asarray(writes, dtype=bool).tolist()
         )
         extra_list = (
-            extra_cycles
-            if isinstance(extra_cycles, list) or extra_cycles is None
+            None
+            if extra_cycles is None
             else np.asarray(extra_cycles, dtype=np.int64).tolist()
         )
         used = 0
@@ -332,7 +322,7 @@ class SetAssociativeCache:
         additionally costs ``miss_extra``.  Semantically identical to
         :meth:`run_trace_budget` (same counters, same stop rule) with the
         per-access bookkeeping stripped to one index and one add — this
-        is the preemptive driver's hot loop, entered once per quantum.
+        is the shared-queue policy's hot loop, entered once per quantum.
         """
         if start < 0 or start > len(rows):
             raise ValidationError(f"start index {start} out of range")

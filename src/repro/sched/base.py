@@ -23,6 +23,7 @@ from typing import Callable, Protocol, Sequence
 
 from repro.memory.layout import DataLayout
 from repro.procgraph.graph import ExtendedProcessGraph, ProcessGraph
+from repro.util.validation import check_positive
 
 
 class PlanMode(Enum):
@@ -70,8 +71,10 @@ class SchedulerPlan:
             raise SchedulingError("a STATIC plan needs core_queues")
         if self.mode is PlanMode.DYNAMIC and self.picker is None:
             raise SchedulingError("a DYNAMIC plan needs a picker")
-        if self.mode is PlanMode.SHARED_QUEUE and not self.quantum_cycles:
-            raise SchedulingError("a SHARED_QUEUE plan needs quantum_cycles")
+        if self.mode is PlanMode.SHARED_QUEUE:
+            if self.quantum_cycles is None:
+                raise SchedulingError("a SHARED_QUEUE plan needs quantum_cycles")
+            check_positive("quantum_cycles", self.quantum_cycles)
 
 
 class Scheduler(abc.ABC):

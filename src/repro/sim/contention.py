@@ -8,8 +8,8 @@ queue.  This module makes that queueing a pluggable cost axis, mirroring
 the arrival-process registry: models register under a string name
 (:data:`repro.api.registries.CONTENTION`), machines select one via
 :attr:`~repro.sim.config.MachineConfig.contention`, and the simulator
-charges the model once per executed segment (a whole process on the
-non-preemptive drivers, a quantum under RRS).
+charges the model once per executed segment (a whole process under the
+static and dynamic policies, a quantum under RRS).
 
 Charging is deliberately *post-segment and stateless*: a model sees only
 a segment's aggregate off-chip transfer count (misses plus dirty
@@ -51,9 +51,9 @@ class ContentionModel(Protocol):
     """One off-chip contention cost model (structural interface).
 
     Implementations must be deterministic pure functions of their
-    constructor parameters and the ``delay_cycles`` arguments — the
-    simulator may charge segments in any order (the static driver's
-    worklist is not time-ordered) and across worker processes.
+    constructor parameters and the ``delay_cycles`` arguments: campaign
+    cells build and charge models in separate worker processes, and the
+    batched and scalar executors must charge bit-identical stalls.
     """
 
     def delay_cycles(self, core: int, transfers: int, wall_cycles: int) -> int:

@@ -2,8 +2,9 @@
 
 Events are ordered by (time, insertion sequence): simultaneous events pop
 in the order they were pushed, so every simulation is exactly reproducible.
-Used by the dynamic and shared-queue simulation drivers; the static driver
-resolves times analytically and does not need an event queue.
+The simulator's one event loop (:mod:`repro.sim.simulator`) runs every
+plan mode — static, dynamic and shared-queue — as a dispatch policy over
+this queue.
 """
 
 from __future__ import annotations

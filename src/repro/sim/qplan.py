@@ -283,7 +283,7 @@ def compile_quantum_plan(
     """Compile (and cache on the trace) the plan for one geometry.
 
     The cold hit mask comes from the memoized trace analysis, so plan
-    compilation shares work with the non-preemptive drivers and the
+    compilation shares work with the non-preemptive policies and the
     persistent memo store; the only plan-specific passes are one stable
     argsort for the occurrence links and one segmented suffix scan for
     the generation-closing positions.

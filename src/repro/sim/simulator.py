@@ -1,21 +1,33 @@
 """The MPSoC simulator: executes a scheduler plan over an EPG.
 
-Three drivers, one per :class:`~repro.sched.base.PlanMode`:
+One deterministic event loop runs every plan.  Its events — an app's
+arrival, or the end of one executed segment — pop in ``(cycle,
+insertion sequence)`` order (:class:`~repro.sim.engine.EventQueue`).
+Whenever a core is offered work, the plan mode's *dispatch policy*
+decides what it runs, through three hooks: ``admit`` a process that
+became ready (or was preempted), ``pick`` the next process for the
+offered core (or none), and ``run`` one segment of its trace.  One
+policy per :class:`~repro.sched.base.PlanMode`:
 
-- **static** (LS/LSM): fixed per-core queues, non-preemptive.  Because the
-  per-core caches are private and contents persist across processes, each
-  process's cache behaviour depends only on the *order* of processes on
-  its own core, so traces are resolved core-locally and start times
-  computed analytically from dependence completion times (a worklist pass
-  replaces a full event loop).
-- **dynamic** (RS/LSD): whenever a core goes idle, a picker callback
-  chooses among the ready processes; non-preemptive, event-driven.
+- **static** (LS-static): fixed per-core queues, non-preemptive.  A core
+  takes its queue head once the head's predecessors are done, so each
+  process starts at ``max(core free, dependences complete)`` and each
+  private cache sees exactly its own queue's order.
+- **dynamic** (RS, LS, LSM and the online zoo): whenever a core is
+  offered work, the plan's picker chooses among the ready processes;
+  non-preemptive.
 - **shared_queue** (RRS): one global FIFO, quantum preemption, processes
   resume wherever a core frees up — faithfully migrating (and thereby
   losing) cache state, per the paper's motivating scenario.
 
+Under RRS the core a segment freed takes the queue head before the idle
+cores get theirs; under the other policies it rejoins the idle set.
+Idle cores are offered work lowest id first.  Every segment is charged
+the same way (:meth:`_Cores.charge`) and every process record sums its
+segments, so the modes differ in nothing but their policy.
+
 Open-system admission (beyond the paper): :meth:`MPSoCSimulator.run_open`
-executes the dynamic and shared-queue drivers against an
+executes dynamic and shared-queue plans against an
 :class:`~repro.sim.arrivals.ArrivalSchedule` — each application's process
 set is *released* only once its arrival event fires, so the ready set
 grows mid-run and the result carries per-app response-time records
@@ -53,41 +65,34 @@ Modelling notes (documented substitutions for Simics):
 
 from __future__ import annotations
 
-import heapq
+import bisect
 from collections import deque
+from types import MappingProxyType
+from typing import Sequence
 
 from repro.cache import native
 from repro.cache.memo import execute_trace, fast_cache_enabled, trace_memo_enabled
 from repro.cache.miss_classifier import MissClassifier
 from repro.cache.native import KernelState
 from repro.cache.sa_cache import SetAssociativeCache
-from repro.errors import (
-    InfeasibleScheduleError,
-    SchedulingError,
-    SimulationError,
-    ValidationError,
-)
+from repro.errors import InfeasibleScheduleError, SchedulingError
+from repro.errors import SimulationError, ValidationError
 from repro.procgraph.graph import ProcessGraph
 from repro.sched.base import PlanMode, Scheduler, SchedulerPlan, default_layout
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.config import MachineConfig
 from repro.sim.contention import contention_model_for
 from repro.sim.engine import EventQueue
-from repro.sim.qplan import (
-    MIN_BATCH_WINDOW,
-    compile_quantum_plan,
-    estimate_quantum_accesses,
-    make_way_table,
-    quantum_batch_enabled,
-    run_plan_quantum,
-)
-from repro.sim.results import (
-    CoreRecord,
-    OpenSystemResult,
-    ProcessRecord,
-    SimulationResult,
-)
+from repro.sim.qplan import MIN_BATCH_WINDOW, compile_quantum_plan
+from repro.sim.qplan import estimate_quantum_accesses, make_way_table
+from repro.sim.qplan import quantum_batch_enabled, run_plan_quantum
+from repro.sim.results import CoreRecord, OpenSystemResult, ProcessRecord
+from repro.sim.results import SimulationResult
 from repro.sim.trace import ProcessTrace, build_trace
+
+#: Event kinds: an app's process set is released, or a segment ended
+#: with its process unfinished or finished.
+_ARRIVE, _PREEMPT, _DONE = "arrive", "preempt", "done"
 
 
 class MPSoCSimulator:
@@ -113,33 +118,26 @@ class MPSoCSimulator:
         validate: bool = True,
     ) -> SimulationResult:
         """Prepare the scheduler's plan and execute it."""
-        if not isinstance(scheduler, Scheduler):
-            raise ValidationError(f"expected a Scheduler, got {scheduler!r}")
-        epg.validate_acyclic()
-        base = layout if layout is not None else default_layout(epg, self._config)
-        plan = scheduler.prepare(epg, self._config, base)
+        plan = self._prepare(epg, scheduler, layout)
         return self.run_plan(epg, plan, validate=validate)
 
     def run_plan(
         self, epg: ProcessGraph, plan: SchedulerPlan, validate: bool = True
     ) -> SimulationResult:
         """Execute an already-prepared plan."""
-        geometry = self._config.geometry()
-        traces = {
-            process.pid: build_trace(process, plan.layout, geometry)
-            for process in epg
-        }
-        if plan.mode is PlanMode.STATIC:
-            result = self._run_static(epg, plan, traces)
-        elif plan.mode is PlanMode.DYNAMIC:
-            result = self._run_dynamic(epg, plan, traces)
-        else:
-            result = self._run_shared_queue(epg, plan, traces)
-        result.metadata.update(plan.metadata)
-        result.metadata["layout"] = plan.layout
+        result = self._simulate(epg, plan, release={})
         if validate:
             result.validate_against(epg)
         return result
+
+    def _prepare(
+        self, epg: ProcessGraph, scheduler: Scheduler, layout
+    ) -> SchedulerPlan:
+        if not isinstance(scheduler, Scheduler):
+            raise ValidationError(f"expected a Scheduler, got {scheduler!r}")
+        epg.validate_acyclic()
+        base = layout if layout is not None else default_layout(epg, self._config)
+        return scheduler.prepare(epg, self._config, base)
 
     # -- open-system entry points ----------------------------------------------------
 
@@ -152,11 +150,7 @@ class MPSoCSimulator:
         validate: bool = True,
     ) -> OpenSystemResult:
         """Run with dynamic admission: apps release at their arrival cycles."""
-        if not isinstance(scheduler, Scheduler):
-            raise ValidationError(f"expected a Scheduler, got {scheduler!r}")
-        epg.validate_acyclic()
-        base = layout if layout is not None else default_layout(epg, self._config)
-        plan = scheduler.prepare(epg, self._config, base)
+        plan = self._prepare(epg, scheduler, layout)
         return self.run_plan_open(epg, plan, schedule, validate=validate)
 
     def run_plan_open(
@@ -172,29 +166,18 @@ class MPSoCSimulator:
                 f"expected an ArrivalSchedule, got {schedule!r}"
             )
         release = self._release_map(epg, schedule)
-        geometry = self._config.geometry()
-        traces = {
-            process.pid: build_trace(process, plan.layout, geometry)
-            for process in epg
-        }
-        if plan.mode is PlanMode.DYNAMIC:
-            result = self._run_dynamic(epg, plan, traces, release=release)
-        elif plan.mode is PlanMode.SHARED_QUEUE:
-            result = self._run_shared_queue(epg, plan, traces, release=release)
-        else:
+        if plan.mode is PlanMode.STATIC:
             raise SimulationError(
                 "static plans fix every core queue ahead of time and cannot "
                 "admit mid-run arrivals; use a dynamic or shared-queue "
                 "scheduler for open-system runs"
             )
-        result.metadata.update(plan.metadata)
-        result.metadata["layout"] = plan.layout
-        open_result = OpenSystemResult.from_simulation(
-            result, epg, schedule, machine=self._config
+        result = OpenSystemResult.from_simulation(
+            self._simulate(epg, plan, release), epg, schedule, machine=self._config
         )
         if validate:
-            open_result.validate_against(epg)
-        return open_result
+            result.validate_against(epg)
+        return result
 
     @staticmethod
     def _release_map(epg: ProcessGraph, schedule: ArrivalSchedule) -> dict[str, int]:
@@ -219,556 +202,414 @@ class MPSoCSimulator:
         by_app = schedule.as_dict()
         return {process.pid: by_app[process.task_name] for process in epg}
 
-    # -- cost helpers --------------------------------------------------------------
+    # -- the event loop ------------------------------------------------------------
 
-    def _duration(self, trace: ProcessTrace, hits: int, misses: int) -> int:
-        config = self._config
-        return trace.cost_cycles(
-            hits, misses, config.cache_hit_cycles, config.miss_cycles
-        )
+    def _simulate(
+        self, epg: ProcessGraph, plan: SchedulerPlan, release: dict[str, int]
+    ) -> SimulationResult:
+        """Run ``plan`` under its mode's policy.
 
-    def _writeback_cycles(self, dirty_evictions: int) -> int:
-        if self._config.charge_writebacks:
-            return dirty_evictions * self._config.memory_latency_cycles
-        return 0
-
-    def _run_whole_trace(
-        self,
-        cache: SetAssociativeCache,
-        classifier: MissClassifier | None,
-        trace: ProcessTrace,
-        state: KernelState | None,
-    ) -> tuple[int, int]:
-        """Run a full trace; slow per-access path only when classifying."""
-        if state is not None:
-            counters = state.run_trace(
-                trace.kernel_trace(self._config.cache_hit_cycles)
-            )
-            cache.stats.add(counters)
-            return counters[0], counters[1]
-        if classifier is None:
-            if fast_cache_enabled():
-                return execute_trace(
-                    cache,
-                    trace.lines,
-                    trace.writes,
-                    fingerprint=trace.fingerprint(),
-                )
-            return cache.run_trace(trace.lines, trace.writes)
-        hits = 0
-        misses = 0
-        for line, is_write in zip(trace.lines.tolist(), trace.writes.tolist()):
-            hit = cache.access_line(line, is_write)
-            classifier.observe(line, hit)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-        return hits, misses
-
-    def _make_caches(
-        self,
-    ) -> tuple[list[SetAssociativeCache], list[MissClassifier] | None]:
-        config = self._config
-        caches = [
-            SetAssociativeCache(config.geometry_for(core))
-            for core in range(config.num_cores)
-        ]
-        if config.classify_misses:
-            classifiers = [MissClassifier(cache.geometry) for cache in caches]
-        else:
-            classifiers = None
-        return caches, classifiers
-
-    @staticmethod
-    def _kernel_states(
-        caches: list[SetAssociativeCache], enabled: bool
-    ) -> list[KernelState] | None:
-        """Per-core compiled-kernel tag state, or None for the Python engines.
-
-        The kernel holds each core's tags for the whole run (the caches
-        then only accumulate statistics).  It is built on the first run
-        that asks for it.  None under the scalar oracle, when the kernel
-        is unavailable, or when the driver passes ``enabled=False``:
-        miss classification must see every access, and quantum batching
-        off keeps RRS on the scalar loop.
+        ``release`` maps pids to arrival cycles.  Empty (a closed run),
+        or every arrival at cycle 0, marks everything arrived up front
+        and schedules no arrival events.
         """
-        if not enabled or not fast_cache_enabled():
-            return None
-        library = native.kernel()
-        if library is None:
-            return None
-        return [KernelState(library, cache.geometry) for cache in caches]
-
-    # -- static driver (LS / LSM) ----------------------------------------------------
-
-    def _run_static(
-        self,
-        epg: ProcessGraph,
-        plan: SchedulerPlan,
-        traces: dict[str, ProcessTrace],
-    ) -> SimulationResult:
-        num_cores = self._config.num_cores
-        queues = plan.core_queues
-        if len(queues) != num_cores:
-            raise SchedulingError(
-                f"plan has {len(queues)} queues but machine has {num_cores} cores"
-            )
-        placed = [pid for queue in queues for pid in queue]
-        if sorted(placed) != sorted(epg.pids):
-            raise SchedulingError(
-                "static plan must place every process exactly once"
-            )
-        caches, classifiers = self._make_caches()
-        states = self._kernel_states(caches, classifiers is None)
-        contention = contention_model_for(self._config)
-        queue_delay = [0] * num_cores
-        transfers_of = [0] * num_cores
-        completion: dict[str, int] = {}
-        records: dict[str, ProcessRecord] = {}
-        next_index = [0] * num_cores
-        free_at = [0] * num_cores
-        busy = [0] * num_cores
-        remaining = len(placed)
-        while remaining:
-            progressed = False
-            for core in range(num_cores):
-                queue = queues[core]
-                while next_index[core] < len(queue):
-                    pid = queue[next_index[core]]
-                    preds = epg.predecessors(pid)
-                    if not all(p in completion for p in preds):
-                        break
-                    ready_at = max((completion[p] for p in preds), default=0)
-                    start = max(free_at[core], ready_at)
-                    trace = traces[pid]
-                    cache = caches[core]
-                    evictions_before = cache.stats.dirty_evictions
-                    classifier = classifiers[core] if classifiers else None
-                    hits, misses = self._run_whole_trace(
-                        cache, classifier, trace, states[core] if states else None
-                    )
-                    evicted = cache.stats.dirty_evictions - evictions_before
-                    duration = self._duration(trace, hits, misses)
-                    duration += self._writeback_cycles(evicted)
-                    duration += self._config.context_switch_cycles
-                    duration = self._config.scaled_cycles(core, duration)
-                    if contention is not None:
-                        transfers = misses + evicted
-                        stall = contention.delay_cycles(core, transfers, duration)
-                        duration += stall
-                        queue_delay[core] += stall
-                        transfers_of[core] += transfers
-                    completion[pid] = start + duration
-                    records[pid] = ProcessRecord(
-                        pid=pid,
-                        start_cycle=start,
-                        end_cycle=start + duration,
-                        cores=[core],
-                        hits=hits,
-                        misses=misses,
-                    )
-                    free_at[core] = start + duration
-                    busy[core] += duration
-                    next_index[core] += 1
-                    remaining -= 1
-                    progressed = True
-            if remaining and not progressed:
-                blocked = [
-                    queues[c][next_index[c]]
-                    for c in range(num_cores)
-                    if next_index[c] < len(queues[c])
-                ]
-                raise InfeasibleScheduleError(
-                    f"static schedule deadlocked; blocked heads: {blocked}"
-                )
-        makespan = max(completion.values(), default=0)
-        cores = [
-            CoreRecord(
-                core_id=core,
-                busy_cycles=busy[core],
-                executed_pids=list(queues[core]),
-                cache=caches[core].stats,
-                classified=classifiers[core].counts if classifiers else None,
-                queue_delay_cycles=queue_delay[core],
-                bus_transfers=transfers_of[core],
-            )
-            for core in range(num_cores)
-        ]
-        return SimulationResult(
-            scheduler_name=plan.scheduler_name,
-            makespan_cycles=makespan,
-            clock_hz=self._config.clock_hz,
-            processes=records,
-            cores=cores,
-        )
-
-    # -- dynamic driver (RS / LSD) -----------------------------------------------------
-
-    def _run_dynamic(
-        self,
-        epg: ProcessGraph,
-        plan: SchedulerPlan,
-        traces: dict[str, ProcessTrace],
-        release: dict[str, int] | None = None,
-    ) -> SimulationResult:
-        num_cores = self._config.num_cores
-        caches, classifiers = self._make_caches()
-        states = self._kernel_states(caches, classifiers is None)
-        contention = contention_model_for(self._config)
-        queue_delay = [0] * num_cores
-        transfers_of = [0] * num_cores
+        geometry = self._config.geometry()
+        traces = {
+            process.pid: build_trace(process, plan.layout, geometry)
+            for process in epg
+        }
+        policy = _POLICIES[plan.mode](plan, self._config, traces)
+        cores = policy.cores
         events = EventQueue()
         pending = {pid: len(epg.predecessors(pid)) for pid in epg.pids}
-        # Open-system admission: a pid participates only once its app has
-        # arrived.  ``release`` empty (the closed path) marks everything
-        # arrived up front and schedules no events, so the loop below is
-        # byte-identical to the historical closed-batch driver.
-        release = release or {}
         arrived = {pid for pid in pending if release.get(pid, 0) == 0}
         for pid, cycle in sorted(release.items()):
             if cycle > 0:
-                events.push(cycle, ("arrive", -1, pid))
-        # ``ready`` is a heap: newly released pids are pushed in O(log n)
-        # instead of re-sorting the whole list on every completion event.
-        # Pickers still see the identical fully-sorted tuple (built once
-        # per dispatch batch), so every dispatch decision — including
-        # RS's rng consumption order — is unchanged.
-        ready = sorted(
-            pid
-            for pid, count in pending.items()
-            if count == 0 and pid in arrived
-        )
-        ready_view: tuple[str, ...] | None = tuple(ready)
-        completed: set[str] = set()
-        idle: set[int] = set(range(num_cores))
-        last_pid: list[str | None] = [None] * num_cores
+                events.push(cycle, (_ARRIVE, -1, pid))
+        for pid in sorted(pid for pid in arrived if pending[pid] == 0):
+            policy.admit(pid)
+        idle = set(range(self._config.num_cores))
         running: dict[int, str] = {}
-        busy = [0] * num_cores
-        executed: list[list[str]] = [[] for _ in range(num_cores)]
+        cursor: dict[str, int] = {}
         records: dict[str, ProcessRecord] = {}
 
-        def dispatch_idle_cores(now: int) -> None:
-            nonlocal ready_view
-            while ready and idle:
-                if ready_view is None:
-                    ready_view = tuple(sorted(ready))
-                core = min(idle)
-                co_running = tuple(
-                    running[c] for c in sorted(running) if c != core
-                )
-                pid = plan.picker(core, ready_view, last_pid[core], co_running)
-                if pid not in ready:
-                    raise SchedulingError(
-                        f"picker returned {pid!r}, not in the ready set"
-                    )
-                ready.remove(pid)
-                heapq.heapify(ready)
-                ready_view = tuple(item for item in ready_view if item != pid)
-                idle.discard(core)
-                running[core] = pid
-                trace = traces[pid]
-                cache = caches[core]
-                classifier = classifiers[core] if classifiers else None
-                evictions_before = cache.stats.dirty_evictions
-                hits, misses = self._run_whole_trace(
-                    cache, classifier, trace, states[core] if states else None
-                )
-                evicted = cache.stats.dirty_evictions - evictions_before
-                duration = self._duration(trace, hits, misses)
-                duration += self._writeback_cycles(evicted)
-                duration += self._config.context_switch_cycles
-                duration = self._config.scaled_cycles(core, duration)
-                if contention is not None:
-                    transfers = misses + evicted
-                    stall = contention.delay_cycles(core, transfers, duration)
-                    duration += stall
-                    queue_delay[core] += stall
-                    transfers_of[core] += transfers
+        def dispatch(core: int, now: int) -> None:
+            pid = policy.pick(core, running, cores.executed[core])
+            if pid is None:
+                idle.add(core)
+                return
+            idle.discard(core)
+            running[core] = pid
+            trace = traces[pid]
+            stats = cores.caches[core].stats
+            before = stats.dirty_evictions
+            end, cycles, hits, misses = policy.run(core, trace, cursor.get(pid, 0))
+            evictions = stats.dirty_evictions - before
+            duration = cores.charge(core, pid, cycles, misses, evictions)
+            cursor[pid] = end
+            record = records.get(pid)
+            if record is None:
                 records[pid] = ProcessRecord(
-                    pid=pid,
-                    start_cycle=now,
-                    end_cycle=now + duration,
-                    cores=[core],
-                    hits=hits,
-                    misses=misses,
+                    pid, now, now + duration, [core], hits, misses
                 )
-                busy[core] += duration
-                executed[core].append(pid)
-                last_pid[core] = pid
-                events.push(now + duration, ("done", core, pid))
+            else:
+                record.end_cycle = now + duration
+                record.cores.append(core)
+                record.hits += hits
+                record.misses += misses
+            kind = _DONE if end >= trace.num_accesses else _PREEMPT
+            events.push(now + duration, (kind, core, pid))
 
-        dispatch_idle_cores(0)
+        def offer_idle_cores(now: int) -> None:
+            for core in sorted(idle):
+                dispatch(core, now)
+
+        offer_idle_cores(0)
         makespan = 0
+        finished = 0
         while events:
             now, (kind, core, pid) = events.pop()
-            if kind == "arrive":
+            if kind == _ARRIVE:
                 arrived.add(pid)
                 if pending[pid] == 0:
-                    heapq.heappush(ready, pid)
-                    ready_view = None
-                dispatch_idle_cores(now)
-                continue
-            if kind != "done":
-                raise SimulationError(f"unexpected event {kind!r}")
-            completed.add(pid)
-            if running.get(core) == pid:
+                    policy.admit(pid)
+            else:
+                makespan = now
                 del running[core]
-            makespan = max(makespan, now)
-            for successor in sorted(epg.successors(pid)):
-                pending[successor] -= 1
-                if pending[successor] == 0 and successor in arrived:
-                    heapq.heappush(ready, successor)
-                    ready_view = None
-            idle.add(core)
-            dispatch_idle_cores(now)
-        if len(completed) != len(epg):
+                if kind == _PREEMPT:
+                    records[pid].preemptions += 1
+                    policy.admit(pid)
+                else:
+                    finished += 1
+                    for successor in sorted(epg.successors(pid)):
+                        pending[successor] -= 1
+                        if pending[successor] == 0 and successor in arrived:
+                            policy.admit(successor)
+                if policy.freed_core_first:
+                    dispatch(core, now)
+                else:
+                    idle.add(core)
+            offer_idle_cores(now)
+        if finished != len(epg):
             raise InfeasibleScheduleError(
-                f"dynamic run finished with {len(epg) - len(completed)} "
-                f"processes never dispatched"
+                f"{plan.mode.value} run ended with {len(epg) - finished} of "
+                f"{len(epg)} processes unfinished"
             )
-        cores = [
-            CoreRecord(
-                core_id=core,
-                busy_cycles=busy[core],
-                executed_pids=executed[core],
-                cache=caches[core].stats,
-                classified=classifiers[core].counts if classifiers else None,
-                queue_delay_cycles=queue_delay[core],
-                bus_transfers=transfers_of[core],
-            )
-            for core in range(num_cores)
-        ]
-        return SimulationResult(
+        result = SimulationResult(
             scheduler_name=plan.scheduler_name,
             makespan_cycles=makespan,
             clock_hz=self._config.clock_hz,
             processes=records,
-            cores=cores,
+            cores=cores.records(),
         )
+        result.metadata.update(plan.metadata)
+        result.metadata["layout"] = plan.layout
+        return result
 
-    # -- shared-queue driver (RRS) --------------------------------------------------------
 
-    def _run_shared_queue(
-        self,
-        epg: ProcessGraph,
-        plan: SchedulerPlan,
-        traces: dict[str, ProcessTrace],
-        release: dict[str, int] | None = None,
-    ) -> SimulationResult:
-        if self._config.classify_misses:
+class _Cores:
+    """One run's per-core state: caches, engines, contention, tallies.
+
+    Owns each core's cache (and miss classifier), the compiled-kernel tag
+    state when the run uses it, the machine's contention model, and the
+    busy/dispatch/contention tallies its :class:`CoreRecord`\\ s report.
+    """
+
+    def __init__(self, config: MachineConfig, kernel: bool) -> None:
+        self.config = config
+        num_cores = config.num_cores
+        self.caches = [
+            SetAssociativeCache(config.geometry_for(core))
+            for core in range(num_cores)
+        ]
+        self.classifiers = (
+            [MissClassifier(cache.geometry) for cache in self.caches]
+            if config.classify_misses
+            else None
+        )
+        # The compiled kernel, when asked for and loadable, holds each
+        # core's tags for the whole run (the caches then only accumulate
+        # statistics); it is built on the first run that asks for it.
+        # Never under the scalar oracle.
+        library = native.kernel() if kernel and fast_cache_enabled() else None
+        self.states = (
+            None
+            if library is None
+            else [KernelState(library, cache.geometry) for cache in self.caches]
+        )
+        self.contention = contention_model_for(config)
+        self.busy = [0] * num_cores
+        self.executed: list[list[str]] = [[] for _ in range(num_cores)]
+        self.queue_delay = [0] * num_cores
+        self.transfers = [0] * num_cores
+
+    def run_whole(self, core: int, trace: ProcessTrace) -> tuple[int, int]:
+        """Run a full trace on one core; ``(hits, misses)``.
+
+        The slow per-access path runs only when classifying misses.
+        """
+        cache = self.caches[core]
+        if self.states is not None:
+            counters = self.states[core].run_trace(
+                trace.kernel_trace(self.config.cache_hit_cycles)
+            )
+            cache.stats.add(counters)
+            return counters[0], counters[1]
+        if self.classifiers is None:
+            if fast_cache_enabled():
+                return execute_trace(
+                    cache, trace.lines, trace.writes, fingerprint=trace.fingerprint()
+                )
+            return cache.run_trace(trace.lines, trace.writes)
+        classifier = self.classifiers[core]
+        hits = 0
+        for line, is_write in zip(trace.lines.tolist(), trace.writes.tolist()):
+            hit = cache.access_line(line, is_write)
+            classifier.observe(line, hit)
+            hits += hit
+        return hits, trace.num_accesses - hits
+
+    def charge(
+        self, core: int, pid: str, cycles: int, misses: int, evictions: int
+    ) -> int:
+        """Settle one segment of ``pid`` on ``core``; its wall duration.
+
+        ``cycles`` is the segment's access and compute cost.  Charged
+        write-backs and the context switch are added, the sum is scaled
+        by the core's speed, and the contention model's stall extends it.
+        """
+        config = self.config
+        if config.charge_writebacks:
+            cycles += evictions * config.memory_latency_cycles
+        cycles = config.scaled_cycles(core, cycles + config.context_switch_cycles)
+        if self.contention is not None:
+            transfers = misses + evictions
+            stall = self.contention.delay_cycles(core, transfers, cycles)
+            cycles += stall
+            self.queue_delay[core] += stall
+            self.transfers[core] += transfers
+        self.busy[core] += cycles
+        self.executed[core].append(pid)
+        return cycles
+
+    def records(self) -> list[CoreRecord]:
+        """One :class:`CoreRecord` per core."""
+        classifiers = self.classifiers
+        return [
+            CoreRecord(
+                core_id=core,
+                busy_cycles=self.busy[core],
+                executed_pids=self.executed[core],
+                cache=cache.stats,
+                classified=classifiers[core].counts if classifiers else None,
+                queue_delay_cycles=self.queue_delay[core],
+                bus_transfers=self.transfers[core],
+            )
+            for core, cache in enumerate(self.caches)
+        ]
+
+
+# -- dispatch policies ----------------------------------------------------------------
+
+
+class _WholeTraces:
+    """Non-preemptive dispatch: every segment runs a whole trace.
+
+    Miss classification must see every access, so it keeps the run off
+    the compiled kernel.  A freed core rejoins the idle set.
+    """
+
+    freed_core_first = False
+
+    def __init__(self, config: MachineConfig) -> None:
+        self.cores = _Cores(config, kernel=not config.classify_misses)
+
+    def run(
+        self, core: int, trace: ProcessTrace, cursor: int
+    ) -> tuple[int, int, int, int]:
+        """``(next cursor, cycles, hits, misses)`` of the whole trace."""
+        hits, misses = self.cores.run_whole(core, trace)
+        config = self.cores.config
+        cycles = trace.cost_cycles(
+            hits, misses, config.cache_hit_cycles, config.miss_cycles
+        )
+        return trace.num_accesses, cycles, hits, misses
+
+
+class _StaticPolicy(_WholeTraces):
+    """Fixed per-core queues: a core takes its queue head once it is ready."""
+
+    def __init__(
+        self, plan: SchedulerPlan, config: MachineConfig, traces: dict
+    ) -> None:
+        queues = plan.core_queues
+        if len(queues) != config.num_cores:
+            raise SchedulingError(
+                f"plan has {len(queues)} queues but machine has "
+                f"{config.num_cores} cores"
+            )
+        if sorted(pid for queue in queues for pid in queue) != sorted(traces):
+            raise SchedulingError(
+                "static plan must place every process exactly once"
+            )
+        super().__init__(config)
+        self._queues = [deque(queue) for queue in queues]
+        self._ready: set[str] = set()
+
+    def admit(self, pid: str) -> None:
+        self._ready.add(pid)
+
+    def pick(
+        self, core: int, running: dict[int, str], history: Sequence[str]
+    ) -> str | None:
+        queue = self._queues[core]
+        return queue.popleft() if queue and queue[0] in self._ready else None
+
+
+class _DynamicPolicy(_WholeTraces):
+    """The plan's picker chooses among the ready processes."""
+
+    def __init__(
+        self, plan: SchedulerPlan, config: MachineConfig, traces: dict
+    ) -> None:
+        super().__init__(config)
+        self._picker = plan.picker
+        self._ready: list[str] = []  # sorted: pickers see a fixed order
+
+    def admit(self, pid: str) -> None:
+        bisect.insort(self._ready, pid)
+
+    def pick(
+        self, core: int, running: dict[int, str], history: Sequence[str]
+    ) -> str | None:
+        # One picker call per dispatch, never on an empty ready set, so a
+        # seeded picker (RS) draws its stream in a fixed order.
+        ready = self._ready
+        if not ready:
+            return None
+        last_pid = history[-1] if history else None
+        co_running = tuple(running[c] for c in sorted(running))
+        pid = self._picker(core, tuple(ready), last_pid, co_running)
+        if pid not in ready:
+            raise SchedulingError(
+                f"picker returned {pid!r}, not in the ready set"
+            )
+        ready.remove(pid)
+        return pid
+
+
+class _SharedQueuePolicy:
+    """One FIFO ready queue with quantum preemption (RRS).
+
+    The core a segment freed takes the queue head before idle cores do.
+    """
+
+    freed_core_first = True
+
+    def __init__(
+        self, plan: SchedulerPlan, config: MachineConfig, traces: dict
+    ) -> None:
+        if config.classify_misses:
             raise SimulationError(
                 "miss classification is not supported in shared-queue mode; "
                 "use a static or dynamic plan"
             )
-        num_cores = self._config.num_cores
-        quantum = plan.quantum_cycles
-        config = self._config
-        caches, _ = self._make_caches()
-        contention = contention_model_for(config)
-        queue_delay = [0] * num_cores
-        transfers_of = [0] * num_cores
+        # The compiled kernel, when it loads, holds every core's tags for
+        # the whole run and executes each quantum in one call; quantum
+        # batching off keeps RRS on the scalar loop.
+        self.cores = cores = _Cores(config, kernel=quantum_batch_enabled())
+        self._queue: deque[str] = deque()
+        self._hit_cost = config.cache_hit_cycles
+        self._miss_extra = config.memory_latency_cycles
+        num_cores = config.num_cores
+        # Work budget per quantum, in Table-2-core work cycles: a core at
+        # speed s retires s cycles of work per wall cycle.
+        self._budgets = [
+            max(1, int(plan.quantum_cycles * config.speed_for(core)))
+            for core in range(num_cores)
+        ]
         # Per-core set masks (heterogeneous caches may differ in size or
         # associativity); ``budget_rows`` memoizes per mask, so the
         # homogeneous machine still converts each trace exactly once.
-        set_masks = [cache.geometry.num_sets - 1 for cache in caches]
-        geometries = [
-            (cache.geometry.num_sets, cache.geometry.associativity)
-            for cache in caches
-        ]
-        hit_cost = config.cache_hit_cycles
-        miss_extra = config.memory_latency_cycles
-        # Work budget per quantum, in Table-2-core work cycles: a core at
-        # speed s retires s cycles of work per wall cycle.
-        budgets = [
-            max(1, int(quantum * config.speed_for(core)))
-            for core in range(num_cores)
-        ]
-        # The compiled kernel, when it loads, holds every core's tags for
-        # the whole run and executes each quantum in one call.  Without
-        # it, quantum batching replaces the scalar per-access walk with
-        # the compiled-plan executor (repro.sim.qplan).  Both are
+        self._set_masks = [cache.geometry.num_sets - 1 for cache in cores.caches]
+        # A batched core runs every quantum through run_plan_quantum on
+        # its tag table: the kernel state, or without the kernel a
+        # compiled quantum plan (repro.sim.qplan) on a vectorized way
+        # table (associativity ≤ 2, the paper machine) or, table None,
+        # the scalar cache's per-set lists in place.  All are
         # bit-identical and gated on the fast engine, so
-        # REPRO_FAST_CACHE=0 remains a pure scalar oracle mode.  Batching
-        # pays off only when quanta span enough accesses to amortize its
-        # per-quantum vector setup, so each core opts in by its expected
-        # window (budget over the run's mean per-access base cost); a
+        # REPRO_FAST_CACHE=0 remains a pure scalar oracle mode.  Compiled
+        # plans pay off only when quanta span enough accesses to amortize
+        # their per-quantum vector setup, so each core opts in by its
+        # expected window (budget over the run's mean per-access cost); a
         # core either batches every dispatch or none, keeping its tag
-        # state in one backend.  Cores with associativity ≤ 2 (the paper
-        # machine) keep that state in vectorized way tables; wider caches
-        # use the scalar cache's per-set lists in place.
-        states = self._kernel_states(caches, quantum_batch_enabled())
-        batch = (
-            states is None
+        # state in one backend.
+        self._batch = [cores.states is not None] * num_cores
+        self._tables: list = cores.states or [None] * num_cores
+        if (
+            cores.states is None
             and quantum_batch_enabled()
             and fast_cache_enabled()
             and trace_memo_enabled()
-        )
-        batch_core = [False] * num_cores
-        way_tables: list = [None] * num_cores
-        if batch:
+        ):
             estimates: dict[tuple, float] = {}
-            for core in range(num_cores):
-                num_sets, assoc = geometries[core]
-                key = (num_sets, assoc, budgets[core])
-                estimate = estimates.get(key)
-                if estimate is None:
-                    estimate = estimate_quantum_accesses(
+            for core, cache in enumerate(cores.caches):
+                geometry = cache.geometry
+                key = (geometry.num_sets, geometry.associativity, self._budgets[core])
+                if key not in estimates:
+                    estimates[key] = estimate_quantum_accesses(
                         traces.values(),
-                        num_sets,
-                        assoc,
-                        hit_cost,
-                        miss_extra,
-                        budgets[core],
+                        geometry.num_sets,
+                        geometry.associativity,
+                        self._hit_cost,
+                        self._miss_extra,
+                        self._budgets[core],
                     )
-                    estimates[key] = estimate
-                if estimate >= MIN_BATCH_WINDOW:
-                    batch_core[core] = True
-                    way_tables[core] = make_way_table(caches[core].geometry)
-        events = EventQueue()
-        pending = {pid: len(epg.predecessors(pid)) for pid in epg.pids}
-        release = release or {}
-        arrived = {pid for pid in pending if release.get(pid, 0) == 0}
-        for pid, cycle in sorted(release.items()):
-            if cycle > 0:
-                events.push(cycle, ("arrive", -1, pid))
-        queue: deque[str] = deque(
-            sorted(
-                pid
-                for pid, count in pending.items()
-                if count == 0 and pid in arrived
+                if estimates[key] >= MIN_BATCH_WINDOW:
+                    self._batch[core] = True
+                    self._tables[core] = make_way_table(geometry)
+
+    def admit(self, pid: str) -> None:
+        self._queue.append(pid)
+
+    def pick(
+        self, core: int, running: dict[int, str], history: Sequence[str]
+    ) -> str | None:
+        return self._queue.popleft() if self._queue else None
+
+    def run(
+        self, core: int, trace: ProcessTrace, cursor: int
+    ) -> tuple[int, int, int, int]:
+        """One quantum from ``cursor``: ``(next cursor, cycles, hits, misses)``."""
+        cache = self.cores.caches[core]
+        if not self._batch[core]:
+            return cache.run_budget_rows(
+                trace.budget_rows(self._set_masks[core], self._hit_cost),
+                cursor,
+                self._miss_extra,
+                self._budgets[core],
             )
+        if self.cores.states is not None:
+            plan = trace.kernel_trace(self._hit_cost)
+        else:
+            geometry = cache.geometry
+            plan = compile_quantum_plan(
+                trace, geometry.num_sets, geometry.associativity, self._hit_cost
+            )
+        return run_plan_quantum(
+            cache,
+            plan,
+            cursor,
+            self._miss_extra,
+            self._budgets[core],
+            self._tables[core],
         )
-        cursor = {pid: 0 for pid in epg.pids}
-        hits_acc = {pid: 0 for pid in epg.pids}
-        misses_acc = {pid: 0 for pid in epg.pids}
-        preemptions = {pid: 0 for pid in epg.pids}
-        cores_of: dict[str, list[int]] = {pid: [] for pid in epg.pids}
-        first_dispatch: dict[str, int] = {}
-        completion: dict[str, int] = {}
-        idle: set[int] = set(range(num_cores))
-        busy = [0] * num_cores
-        executed: list[list[str]] = [[] for _ in range(num_cores)]
 
-        def dispatch(core: int, now: int) -> None:
-            if not queue:
-                idle.add(core)
-                return
-            pid = queue.popleft()
-            idle.discard(core)
-            if pid not in first_dispatch:
-                first_dispatch[pid] = now
-            trace = traces[pid]
-            cache = caches[core]
-            evictions_before = cache.stats.dirty_evictions
-            if states is not None:
-                next_index, used, hits, misses = run_plan_quantum(
-                    cache,
-                    trace.kernel_trace(hit_cost),
-                    cursor[pid],
-                    miss_extra,
-                    budgets[core],
-                    states[core],
-                )
-            elif batch_core[core]:
-                num_sets, assoc = geometries[core]
-                next_index, used, hits, misses = run_plan_quantum(
-                    cache,
-                    compile_quantum_plan(trace, num_sets, assoc, hit_cost),
-                    cursor[pid],
-                    miss_extra,
-                    budgets[core],
-                    way_tables[core],
-                )
-            else:
-                next_index, used, hits, misses = cache.run_budget_rows(
-                    trace.budget_rows(set_masks[core], hit_cost),
-                    cursor[pid],
-                    miss_extra,
-                    budgets[core],
-                )
-            evicted = cache.stats.dirty_evictions - evictions_before
-            used += self._writeback_cycles(evicted)
-            used += config.context_switch_cycles
-            used = config.scaled_cycles(core, used)
-            if contention is not None:
-                transfers = misses + evicted
-                stall = contention.delay_cycles(core, transfers, used)
-                used += stall
-                queue_delay[core] += stall
-                transfers_of[core] += transfers
-            cursor[pid] = next_index
-            hits_acc[pid] += hits
-            misses_acc[pid] += misses
-            cores_of[pid].append(core)
-            executed[core].append(pid)
-            busy[core] += used
-            finished = next_index >= trace.num_accesses
-            kind = "done" if finished else "preempt"
-            events.push(now + used, (kind, core, pid))
 
-        def wake_idle(now: int) -> None:
-            while queue and idle:
-                dispatch(min(idle), now)
-
-        wake_idle(0)
-        makespan = 0
-        while events:
-            now, (kind, core, pid) = events.pop()
-            if kind == "arrive":
-                arrived.add(pid)
-                if pending[pid] == 0:
-                    queue.append(pid)
-                wake_idle(now)
-                continue
-            makespan = max(makespan, now)
-            if kind == "preempt":
-                preemptions[pid] += 1
-                queue.append(pid)
-                dispatch(core, now)
-                wake_idle(now)
-            elif kind == "done":
-                completion[pid] = now
-                for successor in sorted(epg.successors(pid)):
-                    pending[successor] -= 1
-                    if pending[successor] == 0 and successor in arrived:
-                        queue.append(successor)
-                dispatch(core, now)
-                wake_idle(now)
-            else:
-                raise SimulationError(f"unexpected event {kind!r}")
-        if len(completion) != len(epg):
-            raise InfeasibleScheduleError(
-                f"shared-queue run finished with "
-                f"{len(epg) - len(completion)} processes incomplete"
-            )
-        records = {
-            pid: ProcessRecord(
-                pid=pid,
-                start_cycle=first_dispatch[pid],
-                end_cycle=completion[pid],
-                cores=cores_of[pid],
-                hits=hits_acc[pid],
-                misses=misses_acc[pid],
-                preemptions=preemptions[pid],
-            )
-            for pid in epg.pids
-        }
-        cores = [
-            CoreRecord(
-                core_id=core,
-                busy_cycles=busy[core],
-                executed_pids=executed[core],
-                cache=caches[core].stats,
-                queue_delay_cycles=queue_delay[core],
-                bus_transfers=transfers_of[core],
-            )
-            for core in range(num_cores)
-        ]
-        return SimulationResult(
-            scheduler_name=plan.scheduler_name,
-            makespan_cycles=makespan,
-            clock_hz=self._config.clock_hz,
-            processes=records,
-            cores=cores,
-        )
+_POLICIES = MappingProxyType(
+    {
+        PlanMode.STATIC: _StaticPolicy,
+        PlanMode.DYNAMIC: _DynamicPolicy,
+        PlanMode.SHARED_QUEUE: _SharedQueuePolicy,
+    }
+)

@@ -73,23 +73,6 @@ class ProcessTrace:
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 
-    def as_lists(self) -> tuple[list, list, list]:
-        """The trace arrays as plain Python lists, converted once.
-
-        The preemptive (shared-queue) driver walks traces access by
-        access in Python; handing it lists avoids re-converting the full
-        arrays on every quantum dispatch.
-        """
-        cached = getattr(self, "_lists", None)
-        if cached is None:
-            cached = (
-                self.lines.tolist(),
-                self.writes.tolist(),
-                self.extra_cycles.tolist(),
-            )
-            object.__setattr__(self, "_lists", cached)
-        return cached
-
     def budget_rows(
         self, set_mask: int, hit_cost: int
     ) -> list[tuple[int, int, bool, int]]:

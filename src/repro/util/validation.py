@@ -17,16 +17,16 @@ def check_type(
 ) -> None:
     """Raise unless ``value`` is an instance of ``expected``.
 
-    ``bool`` is rejected where an int is expected, since ``True`` silently
-    behaving as ``1`` has caused real configuration bugs.
+    ``bool`` is rejected wherever ``int`` is an accepted type (alone or in
+    a tuple) and ``bool`` itself is not, since ``True`` silently behaving
+    as ``1`` has caused real configuration bugs.
     """
-    if isinstance(value, bool) and expected in (int, (int,)):
-        raise ValidationError(f"{name} must be an int, got bool {value!r}")
-    if not isinstance(value, expected):
-        if isinstance(expected, tuple):
-            names = " or ".join(t.__name__ for t in expected)
-        else:
-            names = expected.__name__
+    accepted = expected if isinstance(expected, tuple) else (expected,)
+    is_stray_bool = (
+        isinstance(value, bool) and int in accepted and bool not in accepted
+    )
+    if is_stray_bool or not isinstance(value, expected):
+        names = " or ".join(t.__name__ for t in accepted)
         raise ValidationError(
             f"{name} must be {names}, got {type(value).__name__} {value!r}"
         )

@@ -1,15 +1,15 @@
-"""Fast-engine-vs-scalar equivalence for the quantum executor and drivers.
+"""Fast-engine-vs-scalar equivalence for the quantum executor and policies.
 
 :func:`repro.sim.qplan.run_plan_quantum` must be bit-identical to the
 scalar ``run_budget_rows`` walk — same stop index, same cycle
 accounting, same per-access verdicts, same end tag state, same
 dirty-eviction statistics — on every backend: the compiled LRU kernel
 (:mod:`repro.cache.native`), and without it the compiled plans' way
-tables (associativity ≤ 2) and per-set lists (above).  The driver
-classes run the full simulator on the scalar oracle and on each fast
+tables (associativity ≤ 2) and per-set lists (above).  The simulator
+classes run the full event loop on the scalar oracle and on each fast
 engine (the ``fast_engine`` fixture: the kernel, and the loader forced
 to "no kernel"): shared-queue runs in closed and open modes, and the
-static and dynamic drivers under every non-preemptive scheduler.
+static and dynamic policies under every non-preemptive scheduler.
 """
 
 from __future__ import annotations

@@ -38,6 +38,16 @@ class TestSchedulerPlan:
         with pytest.raises(SchedulingError):
             SchedulerPlan("X", PlanMode.SHARED_QUEUE, layout)
 
+    @pytest.mark.parametrize("quantum", [0, -5, True, "8000"])
+    def test_shared_queue_quantum_must_be_positive(
+        self, small_epg, small_machine, quantum
+    ):
+        layout = default_layout(small_epg, small_machine)
+        with pytest.raises(ValidationError):
+            SchedulerPlan(
+                "X", PlanMode.SHARED_QUEUE, layout, quantum_cycles=quantum
+            )
+
 
 class TestDefaultLayout:
     def test_big_arrays_page_aligned(self, small_epg, small_machine):

@@ -54,6 +54,27 @@ class TestMachineConfig:
         with pytest.raises(ValidationError):
             MachineConfig(context_switch_cycles=-1)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "num_cores",
+            "quantum_cycles",
+            "cache_hit_cycles",
+            "memory_latency_cycles",
+        ],
+    )
+    def test_bool_counts_rejected(self, field):
+        from repro.campaign.spec import MachineVariant
+        from repro.errors import CampaignError
+
+        with pytest.raises(ValidationError, match="bool"):
+            MachineConfig(**{field: True})
+        with pytest.raises(CampaignError, match="bool"):
+            MachineVariant.from_overrides("x", **{field: True})
+
+    def test_float_counts_still_accepted(self):
+        assert MachineConfig(quantum_cycles=8000.0).quantum_cycles == 8000.0
+
     def test_describe_covers_table2_rows(self):
         rows = dict(MachineConfig.paper_default().describe())
         assert rows["Number of processors"] == "8"

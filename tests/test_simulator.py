@@ -1,11 +1,11 @@
-"""The three simulation drivers: static, dynamic, shared-queue."""
+"""The event loop under its three dispatch policies: static, dynamic, shared-queue."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SchedulingError, SimulationError, ValidationError
-from repro.sched.base import PlanMode, SchedulerPlan, default_layout
+from repro.sched.base import PlanMode, Scheduler, SchedulerPlan, default_layout
 from repro.sched.locality import LocalityScheduler, StaticLocalityScheduler
 from repro.sched.locality_mapping import LocalityMappingScheduler
 from repro.sched.random_sched import RandomScheduler
@@ -164,6 +164,24 @@ class TestSharedQueueDriver:
         sim = MPSoCSimulator(small_machine.with_overrides(classify_misses=True))
         with pytest.raises(SimulationError):
             sim.run(small_epg, RoundRobinScheduler())
+
+    @pytest.mark.parametrize("quantum", [-5, True])
+    def test_plugin_plan_with_bad_quantum_rejected(
+        self, simulator, small_epg, quantum
+    ):
+        """A non-positive or bool quantum would clamp every quantum to a
+        1-cycle budget, so the plan refuses it."""
+
+        class BadQuantum(Scheduler):
+            name = "BAD"
+
+            def prepare(self, epg, machine, layout):
+                return SchedulerPlan(
+                    self.name, PlanMode.SHARED_QUEUE, layout, quantum_cycles=quantum
+                )
+
+        with pytest.raises(ValidationError, match="quantum_cycles"):
+            simulator.run(small_epg, BadQuantum())
 
     def test_smaller_quantum_never_faster(self, small_machine, small_epg):
         """More preemption can only add context-switch and refetch cost."""

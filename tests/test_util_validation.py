@@ -32,6 +32,14 @@ class TestCheckType:
         with pytest.raises(ValidationError):
             check_type("x", "s", (int, float))
 
+    def test_rejects_bool_where_int_is_one_of_several_types(self):
+        with pytest.raises(ValidationError, match="bool"):
+            check_type("flag", True, (int, float))
+
+    def test_accepts_bool_where_bool_is_expected(self):
+        check_type("flag", True, bool)
+        check_type("flag", False, (int, bool))
+
 
 class TestCheckPositive:
     def test_accepts_positive(self):
@@ -43,6 +51,11 @@ class TestCheckPositive:
         with pytest.raises(ValidationError):
             check_positive("n", value)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool(self, value):
+        with pytest.raises(ValidationError, match="bool"):
+            check_positive("n", value)
+
 
 class TestCheckInRange:
     def test_bounds_inclusive(self):
@@ -52,6 +65,10 @@ class TestCheckInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValidationError):
             check_in_range("n", 4, 1, 3)
+
+    def test_rejects_bool(self):
+        with pytest.raises(ValidationError, match="bool"):
+            check_in_range("n", True, 0, 3)
 
 
 class TestCheckPowerOfTwo:
