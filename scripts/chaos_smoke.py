@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI chaos smoke: a campaign survives injected crashes, hangs, and errors.
 
-Drives the real ``repro campaign`` CLI three times over the same grid:
+Drives the real ``repro campaign`` CLI four times over the same grid:
 
 1. **Fault-free baseline** — establishes the expected results.
 2. **Chaos pass** — with ``REPRO_FAULT_PLAN`` injecting a transient worker
@@ -9,11 +9,16 @@ Drives the real ``repro campaign`` CLI three times over the same grid:
    ``--cell-timeout``), and a persistent cell error.  Must finish with
    exit code 3, exactly two quarantined cells, and every surviving
    result identical to the baseline.
-3. **Repair pass** — faults cleared, ``--resume`` re-attempts only the
+3. **Serial chaos pass** — the same hang and error under ``--jobs 1``,
+   where cells run in the CLI's own process (so no crash: an injected
+   ``os._exit`` would kill the CLI itself).  Same expectations, and the
+   abandoned hung cell must not hold the process open: the pass fails
+   if it takes longer than :data:`SERIAL_BUDGET` seconds.
+4. **Repair pass** — faults cleared, ``--resume`` re-attempts only the
    quarantined cells.  Must exit 0 and converge the store to the full,
    failure-free grid.
 
-With ``--serve``, a fourth pass runs the campaign-*service* chaos smoke
+With ``--serve``, a fifth pass runs the campaign-*service* chaos smoke
 (``scripts/serve_smoke.py --chaos``): the same invariants stated against
 ``python -m repro serve`` under injected request errors, disconnects,
 delays, and a murdered worker.
@@ -30,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 GRID = [
@@ -37,13 +43,19 @@ GRID = [
     "--schedulers", "RS,LS",
     "--seeds", "0,1",
     "--scale", "0.25",
-    "--jobs", "2",
     "--quiet",
 ]
 
 #: The two cells expected to be quarantined by the chaos pass.
 HANG_CELL = ("Shape", "LS", 1)
 ERROR_CELL = ("MxM", "LS", 1)
+
+#: Flags shared by both chaos passes.
+CHAOS_FLAGS = ["--max-retries", "1", "--cell-timeout", "3", "--keep-going"]
+
+#: Wall-clock bound on the serial chaos pass: the hung cell sleeps 60 s,
+#: and its two 3 s timeouts must be all the pass waits for.
+SERIAL_BUDGET = 30.0
 
 
 def run_cli(arguments, env, expect):
@@ -82,6 +94,35 @@ def comparable(record: dict) -> dict:
     }
 
 
+def check_quarantine(label: str, store: Path, baseline: dict) -> None:
+    """A chaos pass quarantined exactly the hung and erroring cells and
+    every survivor equals its fault-free baseline."""
+    survivors, quarantined = load_store(store)
+    expected_bad = {
+        key
+        for key, record in baseline.items()
+        if (record["workload"], record["scheduler"], record["seed"])
+        in (HANG_CELL, ERROR_CELL)
+    }
+    assert set(quarantined) == expected_bad, (
+        f"quarantine mismatch: {sorted(quarantined)} != "
+        f"{sorted(expected_bad)}"
+    )
+    kinds = sorted(record["kind"] for record in quarantined.values())
+    assert kinds == ["error", "timeout"], f"unexpected kinds: {kinds}"
+    assert set(survivors) == set(baseline) - expected_bad, (
+        f"{label} pass lost or invented surviving cells"
+    )
+    for key, record in survivors.items():
+        assert comparable(record) == comparable(baseline[key]), (
+            f"survivor {key} differs from the fault-free baseline"
+        )
+    print(
+        f"{label} pass OK: {len(survivors)} survivors identical, "
+        f"{len(quarantined)} quarantined ({', '.join(kinds)})"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -98,66 +139,62 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     baseline_store = scratch / "baseline.jsonl"
     chaos_store = scratch / "chaos.jsonl"
+    serial_store = scratch / "serial.jsonl"
+    rules = [
+        "hang@cell:Shape|*|LS|seed=1*,seconds=60",
+        "error@cell:MxM|*|LS|seed=1*",
+    ]
     plan = "; ".join(
         [
             f"seed=1; ledger={scratch / 'ledger'}",
             "crash@cell:MxM|*|RS|seed=0*,times=1",
-            "hang@cell:Shape|*|LS|seed=1*,seconds=60",
-            "error@cell:MxM|*|LS|seed=1*",
+            *rules,
         ]
     )
     clean_env = {
         k: v for k, v in os.environ.items() if k != "REPRO_FAULT_PLAN"
     }
     chaos_env = dict(clean_env, REPRO_FAULT_PLAN=plan)
+    serial_env = dict(clean_env, REPRO_FAULT_PLAN="; ".join(rules))
+    pooled = ["--jobs", "2"]
 
     try:
-        print("== 1/3 fault-free baseline ==")
-        run_cli(GRID + ["--store", str(baseline_store)], clean_env, expect=0)
+        print("== 1/4 fault-free baseline ==")
+        run_cli(
+            GRID + pooled + ["--store", str(baseline_store)], clean_env, expect=0
+        )
         baseline, none_expected = load_store(baseline_store)
         assert len(baseline) == 8, f"baseline incomplete: {len(baseline)}/8"
         assert not none_expected, "baseline must not record failures"
 
-        print("== 2/3 chaos pass (crash + hang + error injected) ==")
+        print("== 2/4 chaos pass (crash + hang + error injected) ==")
         run_cli(
-            GRID
-            + [
-                "--store", str(chaos_store),
-                "--max-retries", "1",
-                "--cell-timeout", "3",
-                "--keep-going",
-            ],
+            GRID + pooled + CHAOS_FLAGS + ["--store", str(chaos_store)],
             chaos_env,
             expect=3,
         )
-        survivors, quarantined = load_store(chaos_store)
-        expected_bad = {
-            key
-            for key, record in baseline.items()
-            if (record["workload"], record["scheduler"], record["seed"])
-            in (HANG_CELL, ERROR_CELL)
-        }
-        assert set(quarantined) == expected_bad, (
-            f"quarantine mismatch: {sorted(quarantined)} != "
-            f"{sorted(expected_bad)}"
-        )
-        kinds = sorted(record["kind"] for record in quarantined.values())
-        assert kinds == ["error", "timeout"], f"unexpected kinds: {kinds}"
-        assert set(survivors) == set(baseline) - expected_bad, (
-            "chaos pass lost or invented surviving cells"
-        )
-        for key, record in survivors.items():
-            assert comparable(record) == comparable(baseline[key]), (
-                f"survivor {key} differs from the fault-free baseline"
-            )
-        print(
-            f"chaos pass OK: {len(survivors)} survivors identical, "
-            f"{len(quarantined)} quarantined ({', '.join(kinds)})"
-        )
+        check_quarantine("chaos", chaos_store, baseline)
 
-        print("== 3/3 repair pass (faults cleared, --resume) ==")
+        print("== 3/4 serial chaos pass (hang + error injected, --jobs 1) ==")
+        started = time.monotonic()
         run_cli(
-            GRID + ["--store", str(chaos_store), "--resume"],
+            GRID + ["--jobs", "1"] + CHAOS_FLAGS + ["--store", str(serial_store)],
+            serial_env,
+            expect=3,
+        )
+        elapsed = time.monotonic() - started
+        print(f"serial chaos pass took {elapsed:.1f}s (budget {SERIAL_BUDGET:g}s)")
+        if elapsed > SERIAL_BUDGET:
+            raise SystemExit(
+                f"FAIL: serial chaos pass took {elapsed:.1f}s "
+                f"(budget {SERIAL_BUDGET:g}s): a timed-out cell held "
+                "the process open"
+            )
+        check_quarantine("serial chaos", serial_store, baseline)
+
+        print("== 4/4 repair pass (faults cleared, --resume) ==")
+        run_cli(
+            GRID + pooled + ["--store", str(chaos_store), "--resume"],
             clean_env,
             expect=0,
         )
@@ -171,7 +208,7 @@ def main() -> int:
         print("repair pass OK: store converged to the full grid")
 
         if options.serve:
-            print("== 4/4 campaign-service chaos smoke ==")
+            print("== 5/5 campaign-service chaos smoke ==")
             serve_smoke = Path(__file__).with_name("serve_smoke.py")
             proc = subprocess.run(
                 [sys.executable, str(serve_smoke), "--chaos"], env=clean_env

@@ -6,15 +6,20 @@ harnesses' ``run_comparison``, and the campaign executor): it takes
 anything that normalizes to :class:`~repro.campaign.spec.RunSpec` cells
 and runs them under one of three policies —
 
-- ``"serial"`` — in declaration order, in-process (deterministic, no
+- ``"serial"`` — one cell at a time, in-process (deterministic, no
   pool overhead; what the figure harnesses use);
-- ``"threads"`` — a thread pool; worthwhile because the cache kernels
-  release the GIL inside numpy, and required when plugin schedulers or
+- ``"threads"`` — one daemon thread per cell; worthwhile because the
+  cache kernels release the GIL, and required when plugin schedulers or
   workloads were registered at runtime (thread workers see them);
 - ``"processes"`` — the multiprocessing fan-out campaigns always used.
   Worker processes re-import :mod:`repro`, so runtime-registered
   plugins are only visible where the start method is ``fork`` (the
   Linux default) or the plugin module is imported on worker start.
+
+Every policy runs through one loop, :class:`_FanOut`, which hands
+units of cells to a *lane* — the object that runs a unit and knows how
+to stop it (:class:`_InlineLane`, :class:`_ThreadLane`,
+:class:`_ProcessLane`).
 
 Results are the existing typed records (:class:`RunResult`,
 :class:`CampaignOutcome`, :class:`SchedulerComparison`), so everything
@@ -34,10 +39,8 @@ from concurrent.futures import (
     CancelledError,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +57,12 @@ from repro.errors import (
 from repro.util.invalidation import register_worker_state, worker_state_epoch
 
 if TYPE_CHECKING:
-    from repro.campaign.executor import CampaignOutcome, ProgressFn, RunResult
+    from repro.campaign.executor import (
+        CampaignOutcome,
+        Outcome,
+        ProgressFn,
+        RunResult,
+    )
     from repro.campaign.failures import CellFailure
     from repro.campaign.store import ResultStore
     from repro.experiments.runner import SchedulerComparison
@@ -149,142 +157,74 @@ def _pool_init_args() -> tuple[object, ...]:
     )
 
 
-#: One long-lived worker pool per ``jobs`` count, reused across
-#: ``run_many`` calls: worker start-up (an interpreter plus the NumPy
-#: import) dwarfs a typical cell, and campaigns composed of several
-#: rollup passes (sensitivity, the figure harnesses, benches) otherwise
-#: pay it once per pass.  A pool is retired whenever fork-inherited
-#: state changed since it started (plugin registrations, engine
-#: toggles, memo-store reconfiguration — see repro.util.invalidation).
-_SHARED_POOLS: dict[int, tuple[int, ProcessPoolExecutor]] = {}
-register_worker_state(
-    __name__, "_SHARED_POOLS",
-    note="pool cache keyed by jobs; entries retired on epoch mismatch",
-)
+class _WorkerPool:
+    """Owns at most one worker pool, started on first use.
 
-#: Serializes every read-modify-write of :data:`_SHARED_POOLS`.  The
-#: cache is reached from arbitrary threads (the campaign service runs
-#: engines on runner threads); without the lock two concurrent misses
-#: can create duplicate pools (one leaks resident workers for the
-#: process lifetime) or discard a pool a sibling is about to submit to.
-_SHARED_POOLS_LOCK = threading.Lock()
+    Worker start-up (an interpreter plus the NumPy import) dwarfs a
+    typical cell, so the pool outlives ``run_many`` calls: campaigns
+    composed of several rollup passes (sensitivity, the figure
+    harnesses, benches) pay it once.  Every engine without
+    ``private_pool`` shares :data:`_SHARED_POOL`; an engine with it owns
+    an instance of its own.  The pool is retired, so that one lives at a
+    time, when a different ``jobs`` count asks for one or when
+    fork-inherited state changed since it started (plugin registrations,
+    engine toggles, memo-store reconfiguration — see
+    repro.util.invalidation).
 
-
-def _new_process_pool(jobs: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_pool_worker_init,
-        initargs=_pool_init_args(),
-    )
-
-
-def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
-    """Forcibly kill a pool's workers (hung-cell recovery).
-
-    ``shutdown`` only refuses new work — a worker stuck in an infinite
-    loop (or an injected hang) never returns, so the processes themselves
-    must be terminated before a fresh pool can make progress.
+    The lock serializes every swap: engines reach the shared owner from
+    arbitrary threads (the campaign service runs them on runner
+    threads), and two concurrent misses would otherwise start duplicate
+    pools, one leaking resident workers for the process lifetime.
     """
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
 
+    def __init__(self) -> None:
+        self.pool: ProcessPoolExecutor | None = None
+        self._key: tuple[int, int] | None = None  # (jobs, epoch) of the pool
+        self._lock = threading.Lock()
 
-def _shared_process_pool(jobs: int) -> ProcessPoolExecutor:
-    with _SHARED_POOLS_LOCK:
-        epoch = worker_state_epoch()
-        cached = _SHARED_POOLS.get(jobs)
-        if cached is not None:
-            pool_epoch, pool = cached
-            if pool_epoch == epoch:
-                return pool
-        # One pool at a time: a differently-sized (or stale) pool's idle
-        # workers would otherwise stay resident for the process lifetime.
-        for other in list(_SHARED_POOLS):
-            stale = _SHARED_POOLS.pop(other)
-            stale[1].shutdown(wait=False, cancel_futures=True)
-        pool = _new_process_pool(jobs)
-        _SHARED_POOLS[jobs] = (epoch, pool)
+    def acquire(self, jobs: int) -> ProcessPoolExecutor:
+        with self._lock:
+            key = (jobs, worker_state_epoch())
+            stale = self.pool
+            if stale is not None and self._key == key:
+                return stale
+            pool = self.pool = ProcessPoolExecutor(
+                max_workers=jobs,
+                initializer=_pool_worker_init,
+                initargs=_pool_init_args(),
+            )
+            self._key = key
+        if stale is not None:
+            stale.shutdown(wait=False, cancel_futures=True)
         return pool
 
+    def retire(
+        self, pool: ProcessPoolExecutor | None = None, *, kill: bool = False
+    ) -> None:
+        """Shut ``pool`` (default: the current one) down for good.
 
-def _discard_shared_pool(jobs: int) -> None:
-    with _SHARED_POOLS_LOCK:
-        cached = _SHARED_POOLS.pop(jobs, None)
-    if cached is not None:
-        cached[1].shutdown(wait=False, cancel_futures=True)
-
-
-def _terminate_shared_pool(jobs: int) -> None:
-    """Kill the shared pool's workers (see :func:`_kill_pool_processes`)."""
-    with _SHARED_POOLS_LOCK:
-        cached = _SHARED_POOLS.pop(jobs, None)
-    if cached is not None:
-        _kill_pool_processes(cached[1])
-
-
-@atexit.register
-def _shutdown_shared_pools() -> None:
-    with _SHARED_POOLS_LOCK:
-        pools = [pool for _, pool in _SHARED_POOLS.values()]
-        _SHARED_POOLS.clear()
-    for pool in pools:
+        ``kill`` terminates its workers first: ``shutdown`` only refuses
+        new work, and a worker stuck in a hung cell never returns.
+        """
+        with self._lock:
+            if pool is None or pool is self.pool:
+                pool, self.pool = self.pool, None
+        if pool is None:
+            return
+        if kill:
+            for process in list((getattr(pool, "_processes", None) or {}).values()):
+                with contextlib.suppress(Exception):
+                    process.terminate()
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-class _PoolHost:
-    """Hands worker pools to :class:`_FanOut` and retires them.
-
-    The default host wraps the module-wide shared cache.  A *private*
-    host owns a dedicated pool for one engine: engines that run
-    concurrently in a single process (the campaign service executes
-    several campaigns at once) must not share — recovering one
-    campaign's hung cell by terminating the pool would also kill every
-    sibling campaign's in-flight workers and misattribute their crashes.
-    """
-
-    def __init__(self, jobs: int, private: bool = False) -> None:
-        self.jobs = jobs
-        self.private = private
-        self._pool: ProcessPoolExecutor | None = None
-        self._epoch: int | None = None
-
-    def acquire(self) -> ProcessPoolExecutor:
-        if not self.private:
-            return _shared_process_pool(self.jobs)
-        epoch = worker_state_epoch()
-        if self._pool is not None and self._epoch != epoch:
-            self.discard()
-        if self._pool is None:
-            self._pool = _new_process_pool(self.jobs)
-            self._epoch = epoch
-        return self._pool
-
-    def discard(self) -> None:
-        """Retire the pool handle (its workers already died or drained)."""
-        if not self.private:
-            _discard_shared_pool(self.jobs)
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def terminate(self) -> None:
-        """Kill the pool's worker processes (hung-cell recovery)."""
-        if not self.private:
-            _terminate_shared_pool(self.jobs)
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            _kill_pool_processes(pool)
-
-    def close(self) -> None:
-        """Release a private pool; the shared cache persists by design."""
-        if self.private:
-            self.discard()
+#: The worker pool every engine without ``private_pool`` shares.
+_SHARED_POOL = _WorkerPool()
+register_worker_state(
+    __name__, "_SHARED_POOL",
+    note="one pool at a time; retired on a jobs or epoch mismatch",
+)
+atexit.register(_SHARED_POOL.retire)
 
 
 def _workload_weight(ref: str) -> int:
@@ -321,106 +261,221 @@ def _chunk_runs(
     return [part for _, part in chunks]
 
 
-class _SerialWatchdog:
-    """Enforces per-cell timeouts for the serial policy.
+# -- lanes ---------------------------------------------------------------------
 
-    A cell cannot be preempted in-process, so serial timeouts run the
-    cell on a single-lane thread and bound the wait.  A timed-out cell's
-    thread is abandoned (its eventual result discarded) and the next
-    cell gets a fresh lane — the serial contract (declaration order, one
-    cell at a time) is preserved.
+
+class _Lane:
+    """Runs units of cells and knows how to stop them.
+
+    :meth:`submit` starts a unit and returns a future of its per-cell
+    outcomes, ``("ok", result)`` or ``("err", exc)`` in unit order, so
+    a future that raises means the transport died, never a cell.
+    :meth:`stop` stops the overdue units.  The remaining hooks keep
+    worker-liveness leases; only the process lane grants any.
     """
 
-    def __init__(self) -> None:
-        self._pool: ThreadPoolExecutor | None = None
+    #: Lease length of this lane's units; None when they carry none.
+    lease_seconds: float | None = None
 
-    def call(
-        self,
-        fn: "Callable[[RunSpec], RunResult]",
-        run: "RunSpec",
-        timeout: float,
-    ) -> "RunResult":
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=1)
-        future = self._pool.submit(fn, run)
-        try:
-            return future.result(timeout=timeout)
-        except FuturesTimeoutError:
-            stale, self._pool = self._pool, None
-            stale.shutdown(wait=False, cancel_futures=True)
-            raise CellTimeoutError(run.cell_key(), timeout) from None
+    def submit(self, cells: "list[RunSpec]") -> "Future[list[Outcome]]":
+        raise NotImplementedError
+
+    def stop(self) -> bool:
+        """Stop the overdue units; True when every unit in flight died.
+
+        The default abandons them: a unit running in this process cannot
+        be killed, so the loop forgets it and discards whatever it
+        eventually produces.  Nothing else in flight is touched.
+        """
+        return False
+
+    def running(self, future: "Future[list[Outcome]]") -> None:
+        """The unit was first seen running."""
+
+    def silence(self, future: "Future[list[Outcome]]") -> float:
+        """Seconds since the unit's worker last renewed its lease."""
+        return 0.0
+
+    def forget(self, future: "Future[list[Outcome]]") -> None:
+        """The unit left the loop: it finished, died or was stopped."""
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        """The loop is over."""
+
+
+def _resolve(future: "Future[list[Outcome]]", cells: "list[RunSpec]") -> None:
+    """Run ``cells`` in this process and resolve ``future`` with their outcomes.
+
+    A cell's error is reported as the original object: unlike a worker's
+    (see ``execute_chunk_outcomes``) it crosses no pickle boundary.
+    Anything else the unit raises, ``BaseException`` included, resolves
+    the future as ``ThreadPoolExecutor`` would.
+    """
+    from repro.campaign import executor
+
+    outcomes: "list[Outcome]" = []
+    try:
+        for run in cells:
+            try:
+                outcomes.append(("ok", executor.execute_run(run)))
+            except Exception as exc:
+                outcomes.append(("err", exc))
+    except BaseException as exc:
+        future.set_exception(exc)
+    else:
+        future.set_result(outcomes)
+
+
+class _InlineLane(_Lane):
+    """``serial`` without a timeout: each unit runs in the caller's thread."""
+
+    def submit(self, cells: "list[RunSpec]") -> "Future[list[Outcome]]":
+        future: "Future[list[Outcome]]" = Future()
+        _resolve(future, cells)
+        return future
+
+
+class _ThreadLane(_Lane):
+    """One daemon thread per unit: ``threads``, and ``serial`` under a timeout.
+
+    Stopping an overdue unit abandons its thread, so its slot frees at
+    once, and a daemon thread cannot hold the process open at exit.
+    """
+
+    def submit(self, cells: "list[RunSpec]") -> "Future[list[Outcome]]":
+        future: "Future[list[Outcome]]" = Future()
+        future.set_running_or_notify_cancel()
+        threading.Thread(
+            target=_resolve, args=(future, cells), name="repro-cell", daemon=True
+        ).start()
+        return future
+
+
+class _ProcessLane(_Lane):
+    """Units on a worker pool; stopping one kills the pool.
+
+    With ``lease_seconds`` each unit carries a lease (see
+    :mod:`repro.campaign.leases`): a heartbeat file its worker renews,
+    granted at submission and re-granted when the unit is first seen
+    running, so time spent queued never counts against the worker.
+    """
+
+    def __init__(
+        self, pools: _WorkerPool, jobs: int, lease_seconds: float | None
+    ) -> None:
+        self.pools = pools
+        self.jobs = jobs
+        self.lease_seconds = lease_seconds
+        self.pool: ProcessPoolExecutor | None = None
+        self.leases: "dict[Future[list[Outcome]], Path]" = {}
+        self.lease_dir: Path | None = None
+        self.granted = 0
+
+    def submit(self, cells: "list[RunSpec]") -> "Future[list[Outcome]]":
+        from repro.campaign import executor, leases
+
+        self.pool = self.pools.acquire(self.jobs)
+        if self.lease_seconds is None:
+            return self.pool.submit(executor.execute_chunk_outcomes, cells)
+        if self.lease_dir is None:
+            import tempfile
+
+            self.lease_dir = Path(tempfile.mkdtemp(prefix="repro-leases-"))
+        self.granted += 1
+        lease = self.lease_dir / f"unit-{self.granted}.hb"
+        leases.grant_lease(lease)
+        future = self.pool.submit(
+            leases.execute_leased_outcomes,
+            cells,
+            str(lease),
+            leases.heartbeat_interval(self.lease_seconds),
+        )
+        self.leases[future] = lease
+        return future
+
+    def stop(self) -> bool:
+        """Kill the pool: the only way to stop a hung worker."""
+        self.pools.retire(self.pool, kill=True)
+        return True
+
+    def running(self, future: "Future[list[Outcome]]") -> None:
+        from repro.campaign.leases import grant_lease
+
+        lease = self.leases.get(future)
+        if lease is not None:
+            grant_lease(lease)
+
+    def silence(self, future: "Future[list[Outcome]]") -> float:
+        from repro.campaign.leases import heartbeat_age
+
+        lease = self.leases.get(future)
+        return heartbeat_age(lease) if lease is not None else 0.0
+
+    def forget(self, future: "Future[list[Outcome]]") -> None:
+        lease = self.leases.pop(future, None)
+        if lease is not None:
+            with contextlib.suppress(OSError):
+                lease.unlink()
+
+    def close(self) -> None:
+        if self.lease_dir is not None:
+            import shutil
+
+            shutil.rmtree(self.lease_dir, ignore_errors=True)
+
+
+# -- the one cell loop ---------------------------------------------------------
+
+
+@dataclass
+class _Unit:
+    """The cells behind one in-flight future."""
+
+    indices: list[int]
+    #: Monotonic stamp of when the unit was first seen running.
+    started: float | None = None
 
 
 @dataclass
 class _FanOut:
-    """The retry/timeout/quarantine loop shared by the pooled policies.
+    """The retry/timeout/lease/quarantine loop every policy runs through.
 
-    Cells are dispatched as *units* (one future each): workload-grouped
-    chunks on the process pool when nothing needs per-cell attribution,
-    single cells otherwise (a per-cell timeout is in force, a cell is
-    being retried, or a pool crash forced attribution).  Worker-side
-    per-cell errors come back as data (see ``execute_chunk_outcomes``),
-    so a future-level exception always means the transport died — a
-    crashed worker breaking the process pool — and only *incomplete*
-    units are ever resubmitted.
-
-    At most ``jobs`` units are in flight on the process pool at once;
-    the rest wait in :attr:`pending`.  ``ProcessPoolExecutor`` marks a
-    future RUNNING as soon as it enters the call queue (which holds
-    ``max_workers + 1`` items), so without the cap a unit stuck behind
-    a full pool would look running, anchor its wall-clock deadline, and
-    age its lease with no worker heartbeating it — long cells would
-    spuriously expire queued neighbors and charge them crashes.
+    Cells travel as *units* (one future each): :attr:`pending` starts as
+    workload-grouped chunks when nothing needs per-cell attribution and
+    as single cells otherwise, and every resubmission is a single cell.
+    At most ``width`` units are in flight; the rest wait in
+    :attr:`pending`.  ``ProcessPoolExecutor`` marks a future RUNNING as
+    soon as it enters the call queue (which holds ``max_workers + 1``
+    items), so without the cap a unit stuck behind a full pool would
+    look running, anchor its wall-clock deadline, and age its lease with
+    no worker heartbeating it — long cells would spuriously expire
+    queued neighbors and charge them crashes.
     """
 
     runs: "Sequence[RunSpec]"
-    jobs: int
-    policy: str
+    pending: "list[list[int]]"
+    lane: _Lane
+    width: int
     attempts_allowed: int
     cell_timeout: float | None
     keep_going: bool
     on_result: ResultFn | None
     on_failure: FailureFn | None
-    #: Lease length for dispatched units (processes policy only): a unit
-    #: whose worker stops heartbeating for this long is presumed dead
-    #: and resubmitted.  None disables leasing (the historical behavior).
-    lease_seconds: float | None = None
-    #: Where process pools come from (shared cache or engine-private).
-    pool_host: "_PoolHost | None" = None
 
-    #: Poll interval while waiting for a future to enter the running
-    #: state (needed to anchor its wall-clock deadline).
+    #: Poll interval while waiting for a unit to enter the running
+    #: state (needed to anchor its deadline and lease).
     poll: float = 0.05
 
     def __post_init__(self) -> None:
         count = len(self.runs)
-        self.pools: _PoolHost = (
-            self.pool_host if self.pool_host is not None
-            else _PoolHost(self.jobs)
-        )
         self.results: "list[RunResult | None]" = [None] * count
-        self.failures: "list[CellFailure]" = []
         self.outstanding: set[int] = set(range(count))
         self.attempts_used = [0] * count
         self.first_submit: dict[int, float] = {}
-        self.pending: "list[list[int]]" = []  # units awaiting pool capacity
-        self.active: "dict[Future[object], list[int]]" = {}
-        self.run_started: "dict[Future[object], float]" = {}  # monotonic stamps
+        self.active: "dict[Future[list[Outcome]], _Unit]" = {}
         self.delayed: list[tuple[float, int]] = []  # (due, index)
-        self.single_mode = (
-            self.cell_timeout is not None or self.lease_seconds is not None
-        )
-        self.lease_dir: Path | None = None
-        self.lease_files: "dict[Future[object], Path]" = {}
-        self.lease_counter = 0
         self.abort_exc: BaseException | None = None
         self.pool_breaks = 0
-        self.thread_pool: ThreadPoolExecutor | None = None
         #: Cells implicated in a pool break.  A suspect is re-run *solo*
         #: (one suspect in flight at a time) so the next break attributes
         #: the crash to exactly one cell instead of charging every unit
@@ -429,88 +484,39 @@ class _FanOut:
         self.probe_queue: list[int] = []
         self.probe: int | None = None
 
-    # -- dispatch ------------------------------------------------------------
-
-    def execute(self) -> "tuple[list[RunResult | None], list[CellFailure]]":
+    def execute(self) -> "list[RunResult]":
+        """Run every cell; completed results in declaration order."""
         try:
-            if self.policy == "threads":
-                self.thread_pool = ThreadPoolExecutor(max_workers=self.jobs)
-            self._submit_initial()
             while self.outstanding and self.abort_exc is None:
                 self._step()
         finally:
-            self._shutdown()
+            for future in self.active:
+                future.cancel()
+            self.lane.close()
         if self.abort_exc is not None:
             raise self.abort_exc
-        return self.results, self.failures
+        return [result for result in self.results if result is not None]
 
-    def _submit_initial(self) -> None:
-        if self.policy == "processes" and not self.single_mode:
-            for chunk in _chunk_runs(self.runs, self.jobs):
-                self._enqueue(chunk)
-        else:
-            for index in range(len(self.runs)):
-                self._enqueue([index])
-        self._pump()
-
-    def _enqueue(self, indices: list[int]) -> None:
-        self.pending.append(indices)
-
-    def _pump(self) -> None:
-        """Submit queued units while the pool has capacity.
-
-        Thread futures report RUNNING accurately (the worker flips the
-        state right before the call), so the threads policy needs no
-        cap; process units are capped at ``jobs`` in flight — see the
-        class docstring.
-        """
-        while self.pending and (
-            self.policy == "threads" or len(self.active) < self.jobs
-        ):
-            self._submit(self.pending.pop(0))
+    # -- dispatch ------------------------------------------------------------
 
     def _submit(self, indices: list[int]) -> None:
-        from repro.campaign.executor import execute_chunk_outcomes, execute_run
-
         now = time.monotonic()
         for index in indices:
             self.first_submit.setdefault(index, now)
-        if self.policy == "threads":
-            future = self.thread_pool.submit(execute_run, self.runs[indices[0]])
-        elif self.lease_seconds is not None:
-            from repro.campaign.leases import (
-                execute_leased_outcomes,
-                grant_lease,
-                heartbeat_interval,
-            )
+        future = self.lane.submit([self.runs[i] for i in indices])
+        self.active[future] = _Unit(indices)
 
-            if self.lease_dir is None:
-                import tempfile
-
-                self.lease_dir = Path(tempfile.mkdtemp(prefix="repro-leases-"))
-            self.lease_counter += 1
-            lease = self.lease_dir / f"unit-{self.lease_counter}.hb"
-            grant_lease(lease)
-            future = self.pools.acquire().submit(
-                execute_leased_outcomes,
-                [self.runs[i] for i in indices],
-                str(lease),
-                heartbeat_interval(self.lease_seconds),
-            )
-            self.lease_files[future] = lease
+    def _dispatch(self, index: int) -> None:
+        if index in self.suspects:
+            if index not in self.probe_queue:
+                self.probe_queue.append(index)
         else:
-            future = self.pools.acquire().submit(
-                execute_chunk_outcomes, [self.runs[i] for i in indices]
-            )
-        self.active[future] = indices
+            self.pending.append([index])
 
-    def _drop_lease(self, future: "Future[object]") -> None:
-        lease = self.lease_files.pop(future, None)
-        if lease is not None:
-            try:
-                lease.unlink()
-            except OSError:
-                pass
+    def _resubmit(self, indices: list[int]) -> None:
+        for index in indices:
+            if index in self.outstanding:
+                self._dispatch(index)
 
     # -- one scheduler turn --------------------------------------------------
 
@@ -519,7 +525,8 @@ class _FanOut:
         for item in [d for d in self.delayed if d[0] <= now]:
             self.delayed.remove(item)
             self._dispatch(item[1])
-        self._pump()
+        while self.pending and len(self.active) < self.width:
+            self._submit(self.pending.pop(0))
         if self.probe is None and not self.active:
             while self.probe_queue:
                 index = self.probe_queue.pop(0)
@@ -531,16 +538,10 @@ class _FanOut:
             if self.delayed:
                 time.sleep(max(0.0, min(d for d, _ in self.delayed) - now))
             return
-        for future in self.active:
-            if future not in self.run_started and future.running():
-                self.run_started[future] = now
-                lease = self.lease_files.get(future)
-                if lease is not None:
-                    # Re-anchor the lease clock: time spent queued behind
-                    # a full pool must not count against the worker.
-                    from repro.campaign.leases import grant_lease
-
-                    grant_lease(lease)
+        for future, unit in self.active.items():
+            if unit.started is None and future.running():
+                unit.started = now
+                self.lane.running(future)
         done, _ = wait(
             set(self.active),
             timeout=self._wait_timeout(now),
@@ -548,51 +549,45 @@ class _FanOut:
         )
         for future in done:
             self._complete(future)
-        if self.cell_timeout is not None and self.abort_exc is None:
-            self._expire(time.monotonic())
-        if self.lease_seconds is not None and self.abort_exc is None:
-            self._reap_leases()
+        if self.abort_exc is None:
+            self._stop_overdue(time.monotonic())
 
     def _wait_timeout(self, now: float) -> float | None:
-        candidates = []
-        if self.delayed:
-            candidates.append(min(due for due, _ in self.delayed) - now)
-        if self.cell_timeout is not None:
-            running = [
-                started
-                for future, started in self.run_started.items()
-                if future in self.active
-            ]
-            if running:
-                candidates.append(min(running) + self.cell_timeout - now)
-            if any(f not in self.run_started for f in self.active):
+        candidates = [due - now for due, _ in self.delayed]
+        lease = self.lane.lease_seconds
+        if self.cell_timeout is not None or lease is not None:
+            if any(unit.started is None for unit in self.active.values()):
                 candidates.append(self.poll)
-        if self.lease_seconds is not None and self.active:
+        if self.cell_timeout is not None:
+            candidates.extend(
+                unit.started + self.cell_timeout - now
+                for unit in self.active.values()
+                if unit.started is not None
+            )
+        if lease is not None:
             from repro.campaign.leases import heartbeat_interval
 
             # Wake at the heartbeat cadence so stale leases are noticed
             # within one renewal interval of going stale.
-            candidates.append(heartbeat_interval(self.lease_seconds))
-            if any(f not in self.run_started for f in self.active):
-                candidates.append(self.poll)
+            candidates.append(heartbeat_interval(lease))
         if not candidates:
             return None  # block until a future completes
         return max(0.0, min(candidates))
 
     # -- completion paths ----------------------------------------------------
 
-    def _complete(self, future: "Future[object]") -> None:
+    def _complete(self, future: "Future[list[Outcome]]") -> None:
         # A pool break drains *all* in-flight units at once, so sibling
         # futures from the same wait() batch may already be gone.
-        indices = self.active.pop(future, None)
-        if indices is None:
+        unit = self.active.pop(future, None)
+        if unit is None:
             return
-        self.run_started.pop(future, None)
-        self._drop_lease(future)
+        self.lane.forget(future)
+        indices = unit.indices
         try:
-            payload = future.result()
+            outcomes = future.result()
         except BrokenProcessPool as exc:
-            self._pool_break(future, indices, exc)
+            self._pool_break(future, unit, exc)
             return
         except CancelledError:
             if self.probe in indices:
@@ -600,38 +595,23 @@ class _FanOut:
             self._resubmit(indices)
             return
         except Exception as exc:
-            # The unit ran and raised in-band, so its worker is alive:
-            # whatever broke the pool earlier, these cells are cleared.
+            # The unit raised in-band, so its worker is alive: whatever
+            # broke the pool earlier, these cells are cleared.
             self._clear_suspects(indices)
-            if self.policy == "threads" or len(indices) == 1:
+            if len(indices) == 1:
                 self._cell_failed(indices[0], exc)
             else:
                 # Transport-level failure of a chunk (unpicklable result,
-                # executor teardown): split for exact attribution.
-                self.single_mode = True
+                # executor teardown): resubmit its cells singly for exact
+                # attribution.
                 self._resubmit(indices)
             return
         self._clear_suspects(indices)
-        if self.policy == "threads":
-            self._cell_done(indices[0], payload)
-            return
-        for index, (status, value) in zip(indices, payload):
-            if status == "ok":
-                self._cell_done(index, value)
-            else:
+        for index, (_, value) in zip(indices, outcomes):
+            if isinstance(value, Exception):
                 self._cell_failed(index, value)
-
-    def _dispatch(self, index: int) -> None:
-        if index in self.suspects:
-            if index not in self.probe_queue:
-                self.probe_queue.append(index)
-        else:
-            self._enqueue([index])
-
-    def _resubmit(self, indices: list[int]) -> None:
-        for index in indices:
-            if index in self.outstanding:
-                self._dispatch(index)
+            else:
+                self._cell_done(index, value)
 
     def _clear_suspects(self, indices: list[int]) -> None:
         for index in indices:
@@ -657,22 +637,22 @@ class _FanOut:
             due = time.monotonic() + _backoff_delay(self.attempts_used[index])
             self.delayed.append((due, index))
             return
-        elapsed = time.monotonic() - self.first_submit.get(index, time.monotonic())
-        failure = failure_from_exception(
-            self.runs[index], exc, self.attempts_used[index], elapsed
-        )
         self.outstanding.discard(index)
-        if self.keep_going:
-            self.failures.append(failure)
-            if self.on_failure is not None:
-                self.on_failure(failure)
-        else:
+        if not self.keep_going:
             # Re-raise the *original* exception so callers that never
             # opted into quarantine see exactly the historical error.
             self.abort_exc = exc
+            return
+        if self.on_failure is not None:
+            elapsed = time.monotonic() - self.first_submit[index]
+            self.on_failure(
+                failure_from_exception(
+                    self.runs[index], exc, self.attempts_used[index], elapsed
+                )
+            )
 
     def _pool_break(
-        self, future: "Future[object]", indices: list[int], exc: BaseException
+        self, future: "Future[list[Outcome]]", unit: _Unit, exc: BaseException
     ) -> None:
         """A worker died: retire the pool, resubmit only incomplete work.
 
@@ -685,136 +665,69 @@ class _FanOut:
         ordinary single cells.
         """
         self.pool_breaks += 1
-        self.pools.discard()
-        self.single_mode = True
-        broken = [(future, indices)] + list(self.active.items())
+        self.lane.stop()
+        broken = [(future, unit), *self.active.items()]
         self.active.clear()
-        probe_index, self.probe = self.probe, None
+        probe, self.probe = self.probe, None
         if self.pool_breaks > max(4, self.attempts_allowed * len(self.runs)):
             self.abort_exc = CampaignError(
                 f"worker pool died {self.pool_breaks} times; giving up "
                 f"(last error: {exc})"
             )
             return
-        for dead, dead_indices in broken:
-            was_running = dead is future or dead in self.run_started
-            self.run_started.pop(dead, None)
-            self._drop_lease(dead)
-            if dead_indices == [probe_index]:
+        for dead, dead_unit in broken:
+            self.lane.forget(dead)
+            if probe is not None and dead_unit.indices == [probe]:
                 self._cell_failed(
-                    probe_index,
-                    WorkerCrashError(self.runs[probe_index].cell_key()),
+                    probe, WorkerCrashError(self.runs[probe].cell_key())
                 )
                 if self.abort_exc is not None:
                     return
                 # A surviving retry stays a suspect: it re-probes after
                 # its backoff, so repeat offenders exhaust their budget.
             else:
-                if was_running:
+                if dead is future or dead_unit.started is not None:
                     self.suspects.update(
-                        i for i in dead_indices if i in self.outstanding
+                        i for i in dead_unit.indices if i in self.outstanding
                     )
-                self._resubmit(dead_indices)
+                self._resubmit(dead_unit.indices)
 
-    def _expire(self, now: float) -> None:
-        expired = [
-            future
-            for future, started in self.run_started.items()
-            if future in self.active and now - started >= self.cell_timeout
-        ]
-        if not expired:
-            return
-        if self.policy == "threads":
-            # A running thread cannot be killed: abandon its future (the
-            # eventual result is discarded) and charge the timeout.
-            for future in expired:
-                indices = self.active.pop(future)
-                self.run_started.pop(future, None)
-                future.cancel()
-                self._timeout_cell(indices[0])
-                if self.abort_exc is not None:
-                    return
-            return
-        # Processes: the only way to stop a hung worker is to kill the
-        # pool, so every in-flight unit dies; the hung cells are charged
-        # and the innocent bystanders resubmit uncharged on a fresh pool.
-        self.pools.terminate()
-        victims = set(expired)
-        units = list(self.active.items())
-        self.active.clear()
-        self.run_started.clear()
-        self.probe = None  # every in-flight future died with the pool
-        for future, indices in units:
-            self._drop_lease(future)
-            if future in victims:
-                self._timeout_cell(indices[0])
-                if self.abort_exc is not None:
-                    return
-            else:
-                self._resubmit(indices)
+    def _stop_overdue(self, now: float) -> None:
+        """Stop units past their ``cell_timeout`` or their lease.
 
-    def _reap_leases(self) -> None:
-        """Expire leased units whose workers stopped heartbeating.
-
-        Unlike a pool break — where every in-flight future dies at once
-        and attribution needs the suspect/solo-probe dance — a stale
-        heartbeat names its cell exactly, so the expired cell is charged
-        a :class:`LeaseExpiredError` (kind ``crash``) directly and the
-        innocent bystanders resubmit uncharged on a fresh pool.
+        An overdue unit is charged a :class:`CellTimeoutError`, or a
+        :class:`LeaseExpiredError` (kind ``crash``) when its worker
+        stopped heartbeating: a stale heartbeat names its cell exactly,
+        so no suspect probing is needed.  When the lane can only stop a
+        unit by killing every unit in flight (the process lane kills its
+        pool), the innocent bystanders resubmit uncharged.
         """
-        from repro.campaign.leases import heartbeat_age
-
-        expired = [
-            future
-            for future in self.active
-            if future in self.run_started
-            and future in self.lease_files
-            and heartbeat_age(self.lease_files[future]) >= self.lease_seconds
-        ]
-        if not expired:
+        lease = self.lane.lease_seconds
+        overdue: "dict[Future[list[Outcome]], Exception]" = {}
+        for future, unit in self.active.items():
+            if unit.started is None:
+                continue
+            key = self.runs[unit.indices[0]].cell_key()
+            if self.cell_timeout is not None and (
+                now - unit.started >= self.cell_timeout
+            ):
+                overdue[future] = CellTimeoutError(key, self.cell_timeout)
+            elif lease is not None and self.lane.silence(future) >= lease:
+                overdue[future] = LeaseExpiredError(key, lease)
+        if not overdue:
             return
-        # The presumed-dead worker may be merely stopped; kill the pool
-        # so it cannot come back and double-report its cell.
-        self.pools.terminate()
-        victims = set(expired)
-        units = list(self.active.items())
-        self.active.clear()
-        self.run_started.clear()
-        self.probe = None
-        for future, indices in units:
-            self._drop_lease(future)
-            if future in victims:
-                self._cell_failed(
-                    indices[0],
-                    LeaseExpiredError(
-                        self.runs[indices[0]].cell_key(), self.lease_seconds
-                    ),
-                )
+        stopped = list(self.active) if self.lane.stop() else list(overdue)
+        for future in stopped:
+            unit = self.active.pop(future)
+            self.lane.forget(future)
+            if self.probe in unit.indices:
+                self.probe = None
+            if future in overdue:
+                self._cell_failed(unit.indices[0], overdue[future])
                 if self.abort_exc is not None:
                     return
             else:
-                self._resubmit(indices)
-
-    def _timeout_cell(self, index: int) -> None:
-        self._cell_failed(
-            index,
-            CellTimeoutError(self.runs[index].cell_key(), self.cell_timeout),
-        )
-
-    def _shutdown(self) -> None:
-        self.pending.clear()
-        for future in list(self.active):
-            future.cancel()
-        self.active.clear()
-        if self.thread_pool is not None:
-            self.thread_pool.shutdown(wait=False, cancel_futures=True)
-            self.thread_pool = None
-        if self.lease_dir is not None:
-            import shutil
-
-            shutil.rmtree(self.lease_dir, ignore_errors=True)
-            self.lease_dir = None
-            self.lease_files.clear()
+                self._resubmit(unit.indices)
 
 
 def _as_run_specs(runnable: object) -> list[RunSpec]:
@@ -838,17 +751,19 @@ def _as_run_specs(runnable: object) -> list[RunSpec]:
 class Engine:
     """Runs scenarios; construction is cheap and carries only policy.
 
+    The fields are the engine's only knobs: every execution method runs
+    under them, and they are validated once, here.
+
     ``jobs`` is the worker count for the pooled policies; ``policy=None``
     picks ``"serial"`` for ``jobs=1`` and ``"processes"`` otherwise
-    (the campaign executor's historical behavior).  ``store``/``resume``
-    apply to :meth:`run_campaign` only, mirroring
-    :func:`repro.campaign.executor.run_campaign`.
+    (the campaign executor's historical behavior).  ``store``/``resume``/
+    ``progress`` apply to :meth:`run_campaign` only.
 
-    The fault-tolerance knobs apply to every execution method:
     ``max_retries`` re-attempts a failing cell with capped exponential
     backoff before giving up on it; ``cell_timeout`` bounds one attempt's
-    wall clock (hung process workers are killed via pool retirement);
-    ``keep_going`` converts terminal cell failures into structured
+    wall clock (a hung thread is abandoned, hung process workers are
+    killed via pool retirement); ``keep_going`` converts terminal cell
+    failures into structured
     :class:`~repro.campaign.failures.CellFailure` quarantine records
     instead of aborting the batch.  All three default off, which is
     byte-for-byte the historical behavior.
@@ -863,13 +778,13 @@ class Engine:
     that is alive but stuck.
 
     ``private_pool`` gives this engine its own worker pool instead of
-    the process-wide shared cache.  Engines running *concurrently* in
+    the process-wide shared one.  Engines running *concurrently* in
     one process (the campaign service runs several campaigns at once)
     must set it: recovering one engine's hung cell terminates its pool,
     and a shared pool would take every sibling engine's in-flight
     workers down with it.  A private pool is reused across this
-    engine's ``run_many`` calls; call :meth:`close` (or use the engine
-    as a context manager) to release its workers.
+    engine's calls; call :meth:`close` (or use the engine as a context
+    manager) to release its workers.
     """
 
     jobs: int = 1
@@ -884,7 +799,6 @@ class Engine:
     private_pool: bool = False
 
     def __post_init__(self) -> None:
-        self._pool_host: _PoolHost | None = None
         if self.jobs < 1:
             raise CampaignError(f"jobs must be >= 1, got {self.jobs}")
         if self.policy is not None and self.policy not in EXECUTION_POLICIES:
@@ -904,27 +818,18 @@ class Engine:
             raise CampaignError(
                 f"lease_seconds must be positive, got {self.lease_seconds}"
             )
+        self._pools = _WorkerPool() if self.private_pool else _SHARED_POOL
 
     # -- worker-pool ownership -----------------------------------------------
-
-    def _pools_for(self, jobs: int) -> _PoolHost:
-        if not self.private_pool:
-            return _PoolHost(jobs)
-        if self._pool_host is None or self._pool_host.jobs != jobs:
-            if self._pool_host is not None:
-                self._pool_host.close()
-            self._pool_host = _PoolHost(jobs, private=True)
-        return self._pool_host
 
     def close(self) -> None:
         """Release this engine's dedicated worker pool, if it has one.
 
-        Only meaningful with ``private_pool`` (the shared cache is
+        Only meaningful with ``private_pool`` (the shared pool is
         process-wide and persists by design); safe to call repeatedly.
         """
-        if self._pool_host is not None:
-            self._pool_host.close()
-            self._pool_host = None
+        if self.private_pool:
+            self._pools.retire()
 
     def __enter__(self) -> "Engine":
         return self
@@ -932,39 +837,33 @@ class Engine:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- single cell ---------------------------------------------------------
+    # -- the cell loop -------------------------------------------------------
 
     def run(self, runnable: object) -> "RunResult":
-        """Run exactly one cell and return its :class:`RunResult`."""
+        """Run exactly one cell and return its :class:`RunResult`.
+
+        Retries and the timeout apply; a cell that fails for good raises
+        its error, since there is no batch to quarantine it beside.
+        """
         runs = _as_run_specs(runnable)
         if len(runs) != 1:
             raise CampaignError(
                 f"Engine.run() executes exactly one cell, got {len(runs)}; "
                 f"use run_many() or run_campaign() for grids"
             )
-        from repro.campaign.executor import execute_run
-
-        return execute_run(runs[0])
-
-    # -- flat fan-out --------------------------------------------------------
+        return self._fan_out(runs, keep_going=False)[0]
 
     def run_many(
         self,
         runnables: object,
-        policy: str | None = None,
-        jobs: int | None = None,
         on_result: ResultFn | None = None,
-        max_retries: int | None = None,
-        cell_timeout: float | None = None,
-        keep_going: bool | None = None,
         on_failure: FailureFn | None = None,
-        lease_seconds: float | None = None,
     ) -> "list[RunResult]":
         """Run every cell; returns completed results in declaration order.
 
-        ``on_result`` fires as cells complete (completion order under the
-        pooled policies).  This is *the* cell loop — the campaign
-        executor and the figure harnesses all funnel through here.
+        ``on_result`` fires as cells complete (completion order).  This
+        is *the* cell loop — campaigns and the figure harnesses all
+        funnel through here.
 
         A failing cell is retried up to ``max_retries`` times with capped
         exponential backoff; one that fails for good either aborts the
@@ -973,125 +872,59 @@ class Engine:
         structured :class:`~repro.campaign.failures.CellFailure` and the
         returned list simply omits that cell.
         """
-        runs = _as_run_specs(runnables)
-        jobs = self.jobs if jobs is None else jobs
-        if jobs < 1:
-            raise CampaignError(f"jobs must be >= 1, got {jobs}")
-        policy = policy if policy is not None else self.policy
-        if policy is None:
-            policy = "serial" if jobs == 1 else "processes"
-        if policy not in EXECUTION_POLICIES:
-            raise CampaignError(
-                f"unknown execution policy {policy!r}; expected one of "
-                f"{', '.join(EXECUTION_POLICIES)}"
-            )
-        if jobs == 1 or len(runs) <= 1:
-            policy = "serial"
-        max_retries = self.max_retries if max_retries is None else max_retries
-        if max_retries < 0:
-            raise CampaignError(f"max_retries must be >= 0, got {max_retries}")
-        cell_timeout = self.cell_timeout if cell_timeout is None else cell_timeout
-        if cell_timeout is not None and cell_timeout <= 0:
-            raise CampaignError(
-                f"cell_timeout must be positive, got {cell_timeout}"
-            )
-        keep_going = self.keep_going if keep_going is None else keep_going
-        lease_seconds = (
-            self.lease_seconds if lease_seconds is None else lease_seconds
+        return self._fan_out(
+            _as_run_specs(runnables), self.keep_going, on_result, on_failure
         )
-        if lease_seconds is not None and lease_seconds <= 0:
-            raise CampaignError(
-                f"lease_seconds must be positive, got {lease_seconds}"
-            )
-        if policy != "processes":
-            # Leases require real worker processes whose silence is
-            # observable; in-process policies cannot lose a worker.
-            lease_seconds = None
-        attempts_allowed = max_retries + 1
 
-        if policy == "serial":
-            return self._run_serial(
-                runs, attempts_allowed, cell_timeout, keep_going,
-                on_result, on_failure,
-            )
-        ordered, _ = _FanOut(
+    def _fan_out(
+        self,
+        runs: "list[RunSpec]",
+        keep_going: bool,
+        on_result: ResultFn | None = None,
+        on_failure: FailureFn | None = None,
+    ) -> "list[RunResult]":
+        """Pick this engine's lane and units, then run the loop."""
+        policy = self.policy or ("serial" if self.jobs == 1 else "processes")
+        if self.jobs == 1 or len(runs) <= 1:
+            policy = "serial"
+        units = [[index] for index in range(len(runs))]
+        lane: _Lane
+        if policy == "processes":
+            lane = _ProcessLane(self._pools, self.jobs, self.lease_seconds)
+            if self.cell_timeout is None and self.lease_seconds is None:
+                units = _chunk_runs(runs, self.jobs)
+        elif policy == "threads" or self.cell_timeout is not None:
+            lane = _ThreadLane()
+        else:
+            lane = _InlineLane()
+        return _FanOut(
             runs=runs,
-            jobs=jobs,
-            policy=policy,
-            attempts_allowed=attempts_allowed,
-            cell_timeout=cell_timeout,
+            pending=units,
+            lane=lane,
+            width=1 if policy == "serial" else self.jobs,
+            attempts_allowed=self.max_retries + 1,
+            cell_timeout=self.cell_timeout,
             keep_going=keep_going,
             on_result=on_result,
             on_failure=on_failure,
-            lease_seconds=lease_seconds,
-            pool_host=self._pools_for(jobs),
         ).execute()
-        return [result for result in ordered if result is not None]
-
-    @staticmethod
-    def _run_serial(
-        runs: "Sequence[RunSpec]",
-        attempts_allowed: int,
-        cell_timeout: float | None,
-        keep_going: bool,
-        on_result: ResultFn | None,
-        on_failure: FailureFn | None,
-    ) -> "list[RunResult]":
-        from repro.campaign.executor import execute_run
-        from repro.campaign.failures import failure_from_exception
-
-        results: "list[RunResult]" = []
-        watchdog = _SerialWatchdog() if cell_timeout is not None else None
-        try:
-            for run in runs:
-                started = time.monotonic()
-                last_error: Exception | None = None
-                for attempt in range(1, attempts_allowed + 1):
-                    try:
-                        if watchdog is not None:
-                            result = watchdog.call(execute_run, run, cell_timeout)
-                        else:
-                            result = execute_run(run)
-                    except Exception as exc:
-                        last_error = exc
-                        if attempt < attempts_allowed:
-                            time.sleep(_backoff_delay(attempt))
-                        continue
-                    results.append(result)
-                    if on_result is not None:
-                        on_result(result)
-                    break
-                else:
-                    if not keep_going:
-                        raise last_error
-                    failure = failure_from_exception(
-                        run,
-                        last_error,
-                        attempts_allowed,
-                        time.monotonic() - started,
-                    )
-                    if on_failure is not None:
-                        on_failure(failure)
-        finally:
-            if watchdog is not None:
-                watchdog.close()
-        return results
 
     # -- full campaigns (store, resume, rollup-ready outcome) ----------------
 
     def run_campaign(
-        self,
-        campaign: "Scenario | CampaignSpec",
-        jobs: int | None = None,
-        policy: str | None = None,
+        self, campaign: "Scenario | CampaignSpec"
     ) -> "CampaignOutcome":
         """Run a whole grid with store/resume handling.
 
-        Thin front door over :func:`repro.campaign.executor.run_campaign`
-        (which itself loops through :meth:`run_many`), so CLI campaigns
-        and facade campaigns share one code path.
+        With a ``store`` and ``resume``, cells whose keys are already in
+        the store are skipped; with a store but no ``resume``, the store
+        is truncated and the whole grid runs.  Results and quarantine
+        records stream into the store as cells finish.  Failure lines
+        never load as results, so the next ``resume`` run re-attempts
+        quarantined cells and is thereby a repair pass.
         """
-        from repro.campaign.executor import run_campaign
+        from repro.campaign.executor import CampaignOutcome
+        from repro.campaign.store import as_store
 
         spec = campaign.to_campaign() if isinstance(campaign, Scenario) else campaign
         if not isinstance(spec, CampaignSpec):
@@ -1099,25 +932,44 @@ class Engine:
                 f"run_campaign() needs a Scenario or CampaignSpec, "
                 f"got {campaign!r}"
             )
-        return run_campaign(
-            spec,
-            jobs=self.jobs if jobs is None else jobs,
-            store=self.store,
-            resume=self.resume,
-            progress=self.progress,
-            policy=policy if policy is not None else self.policy,
-            max_retries=self.max_retries,
-            cell_timeout=self.cell_timeout,
-            keep_going=self.keep_going,
-            lease_seconds=self.lease_seconds,
+        runs = spec.expand()
+        store = as_store(self.store)
+        done: "dict[str, RunResult]" = {}
+        if store is not None and self.resume:
+            wanted = {run.cell_key() for run in runs}
+            done = {key: r for key, r in store.load().items() if key in wanted}
+        elif store is not None:
+            store.clear()
+        todo = [run for run in runs if run.cell_key() not in done]
+        failures: "list[CellFailure]" = []
+
+        def record(result: "RunResult") -> None:
+            done[result.key] = result
+            if store is not None:
+                store.append(result)
+            if self.progress is not None:
+                self.progress(result, len(done), len(runs))
+
+        def record_failure(failure: "CellFailure") -> None:
+            failures.append(failure)
+            if store is not None:
+                store.append_failure(failure)
+
+        skipped = len(done)
+        self.run_many(todo, on_result=record, on_failure=record_failure)
+        return CampaignOutcome(
+            spec=spec,
+            results=[done[run.cell_key()] for run in runs if run.cell_key() in done],
+            executed=len(todo) - len(failures),
+            skipped=skipped,
+            store_path=store.path if store is not None else None,
+            failures=failures,
         )
 
     # -- scheduler comparisons (the run_comparison shape) --------------------
 
     def compare(
-        self,
-        runnable: "Scenario | CampaignSpec | Sequence[RunSpec]",
-        policy: str | None = None,
+        self, runnable: "Scenario | CampaignSpec | Sequence[RunSpec]"
     ) -> "SchedulerComparison":
         """Run one workload/machine/seed under several schedulers.
 
@@ -1137,5 +989,4 @@ class Engine:
                 f"schedulers; got {len(groups)} distinct cells — use "
                 f"run_many() and group_comparisons() instead"
             )
-        results = self.run_many(runs, policy=policy)
-        return group_comparisons(results)[0]
+        return group_comparisons(self.run_many(runs))[0]

@@ -5,10 +5,9 @@ same :func:`~repro.experiments.runner.run_comparison` path the per-figure
 harnesses use — one fresh machine, EPG, and scheduler per cell — so a
 campaign cell is bit-identical to the equivalent single-figure run.
 Cells are independent by construction, which is what makes the fan-out
-trivial: ``jobs > 1`` ships the declarative specs to
-:meth:`repro.api.engine.Engine.run_many` (process pool by default,
-thread pool with ``policy="threads"``) and streams results back into the
-JSON-lines store as they complete.
+trivial: :class:`repro.api.engine.Engine` runs them inline, on threads
+or on a worker pool, and streams results back into the JSON-lines store
+as they complete; :func:`run_campaign` is the classic front door to it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.campaign.spec import (
     build_campaign_workload,
     workload_seed_sensitive,
 )
-from repro.campaign.store import ResultStore, as_store
+from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 from repro.util.faults import fault_point
 from repro.util.invalidation import register_worker_state
@@ -345,9 +344,11 @@ def execute_chunk(runs: list[RunSpec]) -> "list[RunResult]":
     return [execute_run(run) for run in runs]
 
 
-def execute_chunk_outcomes(
-    runs: list[RunSpec],
-) -> "list[tuple[str, RunResult | Exception]]":
+#: One cell's outcome within a unit: ``("ok", result)`` or ``("err", exc)``.
+Outcome = tuple[str, RunResult | Exception]
+
+
+def execute_chunk_outcomes(runs: list[RunSpec]) -> list[Outcome]:
     """Execute a batch, reporting per-cell errors as data, not raises.
 
     The engine's fan-out loop needs exact failure attribution — which
@@ -357,7 +358,7 @@ def execute_chunk_outcomes(
     therefore always means the transport died (worker crash, broken
     pool), never a cell.
     """
-    outcomes: "list[tuple[str, RunResult | Exception]]" = []
+    outcomes: list[Outcome] = []
     for run in runs:
         try:
             outcomes.append(("ok", execute_run(run)))
@@ -426,88 +427,25 @@ def run_campaign(
     max_retries: int = 0,
     cell_timeout: float | None = None,
     keep_going: bool = False,
-    on_failure: Callable[[CellFailure], None] | None = None,
     lease_seconds: float | None = None,
 ) -> CampaignOutcome:
-    """Expand and execute a campaign.
+    """Expand and execute a campaign: the classic front door.
 
-    ``jobs=1`` runs inline (deterministic ordering, no pool overhead —
-    also what the refitted figure harnesses use); ``jobs>1`` fans cells
-    out over worker processes, or over threads with
-    ``policy="threads"``.  The cell loop itself lives in
-    :meth:`repro.api.engine.Engine.run_many`.  With ``resume=True`` and
-    a store, cells whose keys are already present are skipped; otherwise
-    the store is truncated and the whole grid runs.
-
-    With ``keep_going``, cells that fail after ``max_retries`` retries
-    (or time out past ``cell_timeout``) are quarantined: recorded in the
-    result store as failure lines, reported in
-    :attr:`CampaignOutcome.failures`, and — because failure lines never
-    load as results — re-attempted by the next ``resume`` run, which is
-    thereby a repair pass.
-
-    ``lease_seconds`` arms worker-liveness leases (processes policy
-    only; see :mod:`repro.campaign.leases`): a worker silent for a full
-    lease has its cell charged a ``crash`` failure and resubmitted.
+    Builds an :class:`~repro.api.engine.Engine` from these knobs and
+    runs :meth:`~repro.api.engine.Engine.run_campaign`, which owns the
+    store/resume loop; see the engine for what each knob does.
     """
-    if jobs < 1:
-        raise CampaignError(f"jobs must be >= 1, got {jobs}")
-    runs = spec.expand()
-    store_obj = as_store(store)
-    cached: dict[str, RunResult] = {}
-    if store_obj is not None:
-        if resume:
-            wanted = {run.cell_key() for run in runs}
-            cached = {
-                key: result
-                for key, result in store_obj.load().items()
-                if key in wanted
-            }
-        else:
-            store_obj.clear()
-
-    todo = [run for run in runs if run.cell_key() not in cached]
-    results_by_key = dict(cached)
-    total = len(runs)
-    failures: list[CellFailure] = []
-
-    def record(result: RunResult) -> None:
-        results_by_key[result.key] = result
-        if store_obj is not None:
-            store_obj.append(result)
-        if progress is not None:
-            progress(result, len(results_by_key), total)
-
-    def record_failure(failure: CellFailure) -> None:
-        failures.append(failure)
-        if store_obj is not None:
-            store_obj.append_failure(failure)
-        if on_failure is not None:
-            on_failure(failure)
-
-    # The engine owns the serial/threads/processes loop; imported here
-    # because the api package sits above the campaign layer.
+    # Imported here because the api package sits above the campaign layer.
     from repro.api.engine import Engine
 
-    Engine(
+    return Engine(
         jobs=jobs,
         policy=policy,
+        store=store,
+        resume=resume,
+        progress=progress,
         max_retries=max_retries,
         cell_timeout=cell_timeout,
         keep_going=keep_going,
         lease_seconds=lease_seconds,
-    ).run_many(todo, on_result=record, on_failure=record_failure)
-
-    ordered = [
-        results_by_key[run.cell_key()]
-        for run in runs
-        if run.cell_key() in results_by_key
-    ]
-    return CampaignOutcome(
-        spec=spec,
-        results=ordered,
-        executed=len(todo) - len(failures),
-        skipped=total - len(todo),
-        store_path=store_obj.path if store_obj is not None else None,
-        failures=failures,
-    )
+    ).run_campaign(spec)

@@ -7,9 +7,10 @@ it from a daemon thread that touches the file every
 executes.  A heartbeat that goes stale for longer than the lease means
 the worker is presumed dead — stopped, wedged beyond even its heartbeat
 thread, or killed in a way the pool's own crash detection missed — and
-the engine's reaper (:meth:`repro.api.engine._FanOut._reap_leases`)
-expires the lease, kills the pool, and resubmits the cell through the
-ordinary retry machinery as a :class:`~repro.errors.LeaseExpiredError`.
+the engine's stop path (:meth:`repro.api.engine._FanOut._stop_overdue`,
+shared with ``cell_timeout``) expires the lease, kills the pool, and
+resubmits the cell through the ordinary retry machinery as a
+:class:`~repro.errors.LeaseExpiredError`.
 
 Leases are a *liveness* check, not a budget: a worker that is making no
 progress but still beating (an injected ``hang`` sleeps in the cell

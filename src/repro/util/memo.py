@@ -10,7 +10,7 @@ Entries whose keys embed ``id(...)`` of live objects must *pin* those
 objects inside the stored value (store the object alongside the datum),
 so a key can never outlive the identity it names.
 
-Memos are shared across the cells ``Engine.run_many(policy="threads")``
+Memos are shared across the cells an ``Engine(policy="threads")``
 runs concurrently, so eviction is serialized: without the lock, two
 threads at capacity could race to delete the same oldest key.  Values
 are idempotent (pure functions of the key), so racing *inserts* of the

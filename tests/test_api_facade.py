@@ -240,8 +240,6 @@ class TestEngine:
     def test_bad_policy_rejected(self):
         with pytest.raises(CampaignError, match="execution policy"):
             Engine(policy="carrier-pigeon")
-        with pytest.raises(CampaignError, match="execution policy"):
-            Engine().run_many([], policy="carrier-pigeon")
 
     def test_run_campaign_equals_executor_run_campaign(self, tmp_path):
         scenario = (

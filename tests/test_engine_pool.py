@@ -8,7 +8,7 @@ import pytest
 
 import repro.api.engine as engine_module
 from repro.api.engine import Engine, _chunk_runs
-from repro.campaign.spec import MachineVariant, RunSpec, SchedulerSpec
+from repro.campaign.spec import CampaignSpec, MachineVariant, RunSpec, SchedulerSpec
 from repro.util.faults import configure_fault_plan
 from repro.util.invalidation import bump_worker_state_epoch
 
@@ -66,43 +66,65 @@ class TestProcessPoolReuse:
     def test_pool_survives_across_calls(self):
         engine = Engine(jobs=2, policy="processes")
         engine.run_many(_runs(["MxM"], schedulers=("LS",)))
-        first = engine_module._SHARED_POOLS.get(2)
+        first = engine_module._SHARED_POOL.pool
         assert first is not None
         engine.run_many(_runs(["Radar"], schedulers=("LS",)))
-        second = engine_module._SHARED_POOLS.get(2)
-        assert second is not None and second[1] is first[1]
+        assert engine_module._SHARED_POOL.pool is first
 
     def test_worker_state_change_retires_pool(self):
         engine = Engine(jobs=2, policy="processes")
         engine.run_many(_runs(["MxM"]))
-        first = engine_module._SHARED_POOLS.get(2)[1]
+        first = engine_module._SHARED_POOL.pool
         bump_worker_state_epoch()  # what any plugin registration does
         engine.run_many(_runs(["Radar"]))
-        second = engine_module._SHARED_POOLS.get(2)[1]
-        assert second is not first
+        second = engine_module._SHARED_POOL.pool
+        assert second is not None and second is not first
 
     def test_private_engine_leaves_the_shared_cache_alone(self):
-        for jobs in list(engine_module._SHARED_POOLS):
-            engine_module._discard_shared_pool(jobs)
+        engine_module._SHARED_POOL.retire()
         runs = _runs(["MxM"])
         with Engine(jobs=2, policy="processes", private_pool=True) as engine:
             results = engine.run_many(runs)
             assert [r.key for r in results] == [run.cell_key() for run in runs]
-            assert engine_module._SHARED_POOLS == {}
+            assert engine_module._SHARED_POOL.pool is None
 
     def test_private_pool_survives_across_calls_and_closes(self):
         engine = Engine(jobs=2, policy="processes", private_pool=True)
         try:
             engine.run_many(_runs(["MxM"]))
-            host = engine._pool_host
-            assert host is not None and host.private
-            first = host._pool
+            owner = engine._pools
+            assert owner is not engine_module._SHARED_POOL
+            first = owner.pool
             assert first is not None
             engine.run_many(_runs(["Radar"]))
-            assert engine._pool_host is host and host._pool is first
+            assert engine._pools is owner and owner.pool is first
         finally:
             engine.close()
-        assert engine._pool_host is None
+        assert owner.pool is None
+
+    def test_run_campaign_uses_the_private_pool(self):
+        engine_module._SHARED_POOL.retire()
+        spec = CampaignSpec(
+            name="private-campaign",
+            workloads=("MxM",),
+            machines=(MachineVariant(),),
+            schedulers=(SchedulerSpec("LS"), SchedulerSpec("RS")),
+            scale=0.25,
+        )
+        with Engine(jobs=2, private_pool=True) as engine:
+            outcome = engine.run_campaign(spec)
+            assert engine._pools.pool is not None
+            assert engine_module._SHARED_POOL.pool is None
+        assert len(outcome.results) == 2
+
+    def test_one_pool_lives_at_a_time(self):
+        Engine(jobs=2, policy="processes").run_many(_runs(["MxM"]))
+        first = engine_module._SHARED_POOL.pool
+        Engine(jobs=3, policy="processes").run_many(_runs(["MxM"]))
+        second = engine_module._SHARED_POOL.pool
+        assert second is not None and second is not first
+        with pytest.raises(RuntimeError, match="shutdown"):
+            first.submit(int)
 
     def test_hung_cell_recovery_does_not_disrupt_a_sibling_engine(
         self, tmp_path

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -76,9 +81,7 @@ class TestBackoff:
         with pytest.raises(CampaignError):
             Engine(cell_timeout=0.0)
         with pytest.raises(CampaignError):
-            Engine().run_many(_runs(), max_retries=-2)
-        with pytest.raises(CampaignError):
-            Engine().run_many(_runs(), cell_timeout=-1.0)
+            Engine(cell_timeout=-1.0)
 
 
 class TestSerialRetry:
@@ -88,22 +91,19 @@ class TestSerialRetry:
             f"ledger={tmp_path}; error@cell:*|LS|*,times=1"
         )
         runs = _runs()
-        results = Engine().run_many(runs, max_retries=2)
+        results = Engine(max_retries=2).run_many(runs)
         assert [r.key for r in results] == [run.cell_key() for run in runs]
 
     def test_abort_reraises_the_original_error(self, fault_plan, tmp_path):
         fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*")
         with pytest.raises(InjectedFaultError):
-            Engine().run_many(_runs(), max_retries=1)
+            Engine(max_retries=1).run_many(_runs())
 
     def test_keep_going_quarantines_and_finishes(self, fault_plan, tmp_path):
         fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*")
         failures: list[CellFailure] = []
-        results = Engine().run_many(
-            _runs(),
-            max_retries=1,
-            keep_going=True,
-            on_failure=failures.append,
+        results = Engine(max_retries=1, keep_going=True).run_many(
+            _runs(), on_failure=failures.append
         )
         assert len(results) == 1  # the RS cell
         assert results[0].scheduler == "RS"
@@ -120,11 +120,8 @@ class TestSerialRetry:
             f"ledger={tmp_path}; hang@cell:*|LS|*,seconds=30"
         )
         failures: list[CellFailure] = []
-        results = Engine().run_many(
-            _runs(),
-            cell_timeout=0.5,
-            keep_going=True,
-            on_failure=failures.append,
+        results = Engine(cell_timeout=0.5, keep_going=True).run_many(
+            _runs(), on_failure=failures.append
         )
         assert len(results) == 1
         assert [f.kind for f in failures] == ["timeout"]
@@ -136,7 +133,7 @@ class TestSerialRetry:
             f"ledger={tmp_path}; hang@cell:*|RS|*,seconds=30"
         )
         with pytest.raises(CellTimeoutError) as info:
-            Engine().run_many(_runs(schedulers=("RS",)), cell_timeout=0.5)
+            Engine(cell_timeout=0.5).run_many(_runs(schedulers=("RS",)))
         assert "RS" in info.value.key
         assert info.value.timeout == 0.5
 
@@ -149,8 +146,8 @@ class TestPooledRetry:
         fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*")
         failures: list[CellFailure] = []
         runs = _runs(workloads=("MxM", "Shape"))
-        results = Engine(jobs=2, policy=policy).run_many(
-            runs, keep_going=True, on_failure=failures.append
+        results = Engine(jobs=2, policy=policy, keep_going=True).run_many(
+            runs, on_failure=failures.append
         )
         assert len(results) == 2  # both RS cells
         assert {f.workload for f in failures} == {"MxM", "Shape"}
@@ -164,7 +161,7 @@ class TestPooledRetry:
             f"ledger={tmp_path}; error@cell:*|LS|*,times=1"
         )
         runs = _runs(workloads=("MxM", "Shape"))
-        results = Engine(jobs=2, policy=policy).run_many(runs, max_retries=2)
+        results = Engine(jobs=2, policy=policy, max_retries=2).run_many(runs)
         assert sorted(r.key for r in results) == sorted(
             run.cell_key() for run in runs
         )
@@ -294,8 +291,71 @@ class TestEngineFacadeDefaults:
         assert len(results) == 1
         assert failures and failures[0].attempts == 2
 
-    def test_call_site_overrides_constructor(self, fault_plan, tmp_path):
+
+class TestTimeoutsFreeTheirLane:
+    def test_threads_timeout_frees_the_slot_at_once(self, fault_plan, tmp_path):
+        """An overdue thread is abandoned, so healthy cells never wait
+        out a hang that already failed."""
+        fault_plan(f"ledger={tmp_path}; hang@cell:*|LS|*,seconds=30")
+        failures: list[CellFailure] = []
+        started = time.monotonic()
+        results = Engine(
+            jobs=2, policy="threads", cell_timeout=0.5, keep_going=True
+        ).run_many(_runs(workloads=("MxM", "Shape")), on_failure=failures.append)
+        assert time.monotonic() - started < 10
+        assert [r.scheduler for r in results] == ["RS", "RS"]
+        assert [f.kind for f in failures] == ["timeout", "timeout"]
+
+    def test_timed_out_cell_does_not_hold_the_cli_open(self, tmp_path):
+        """A serial campaign whose cell hangs for a minute quarantines it
+        and exits without waiting for the abandoned thread."""
+        plan = "; ".join(
+            [
+                f"ledger={tmp_path / 'ledger'}",
+                "hang@cell:Shape|*|LS|seed=1*,seconds=60",
+                "error@cell:MxM|*|LS|seed=1*",
+            ]
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_FAULT_PLAN=plan)
+        store = tmp_path / "store.jsonl"
+        started = time.monotonic()
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "campaign",
+                "--workloads", "MxM,Shape", "--schedulers", "RS,LS",
+                "--seeds", "0,1", "--scale", "0.25", "--jobs", "1",
+                "--max-retries", "1", "--cell-timeout", "1", "--keep-going",
+                "--quiet", "--store", str(store),
+            ],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.monotonic() - started < 30
+        assert proc.returncode == 3, proc.stderr
+        failures = ResultStore(store).load_failures()
+        assert sorted(
+            (f.workload, f.scheduler, f.seed, f.kind) for f in failures.values()
+        ) == [("MxM", "LS", 1, "error"), ("Shape", "LS", 1, "timeout")]
+
+
+class TestRunHonoursTheEngine:
+    def test_run_retries_a_transient_error(self, fault_plan, tmp_path):
+        fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*,times=1")
+        (run,) = _runs(schedulers=("LS",))
+        assert Engine(max_retries=1).run(run).key == run.cell_key()
+
+    def test_run_times_out(self, fault_plan, tmp_path):
+        fault_plan(f"ledger={tmp_path}; hang@cell:*|LS|*,seconds=4")
+        started = time.monotonic()
+        with pytest.raises(CellTimeoutError):
+            Engine(cell_timeout=0.5).run(_runs(schedulers=("LS",)))
+        assert time.monotonic() - started < 3
+
+    def test_run_raises_a_cell_that_fails_for_good(self, fault_plan, tmp_path):
         fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*")
-        engine = Engine(keep_going=True)
         with pytest.raises(InjectedFaultError):
-            engine.run_many(_runs(), keep_going=False)
+            Engine(max_retries=1, keep_going=True).run(_runs(schedulers=("LS",)))

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro.campaign.leases as leases
-from repro.api.engine import _terminate_shared_pool
+from repro.api.engine import _SHARED_POOL
 from repro.campaign.executor import run_campaign
 from repro.campaign.failures import classify_failure
 from repro.campaign.leases import (
@@ -154,7 +154,7 @@ class TestReaper:
         queued unit would anchor its lease with no worker heartbeating
         it — the engine instead caps in-flight units at ``jobs``, and a
         lease only ages once a worker actually holds the unit."""
-        _terminate_shared_pool(2)
+        _SHARED_POOL.retire(kill=True)
         # Every cell runs ~1s (heartbeats keep flowing during the
         # delay) against a 0.4s lease: with 4 cells on 2 workers, two
         # units always wait while both workers are legitimately busy
@@ -195,7 +195,7 @@ class TestReaper:
         # inherit the patched module, so the lease granted at dispatch
         # is never renewed.  The pool must fork *after* the patch.
         monkeypatch.setattr(leases, "_beat", lambda path, interval, stop: None)
-        _terminate_shared_pool(2)
+        _SHARED_POOL.retire(kill=True)
         # The hang keeps the victim alive well past the lease without
         # raising, which is exactly the shape only the reaper catches.
         fault_plan(
@@ -224,7 +224,7 @@ class TestReaper:
         fault-free run."""
         baseline = run_campaign(_spec())
         monkeypatch.setattr(leases, "_beat", lambda path, interval, stop: None)
-        _terminate_shared_pool(2)
+        _SHARED_POOL.retire(kill=True)
         fault_plan(
             f"ledger={tmp_path}; hang@cell:MxM|*|LS|seed=0*,seconds=15,times=1"
         )
