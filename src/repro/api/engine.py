@@ -93,23 +93,29 @@ def _pool_worker_init(
     memo_dir: str | None,
     memo_mode: str,
     fast_cache: bool,
-    trace_memo: bool,
-    quantum_batch: bool,
     fault_plan: str | None,
 ) -> None:
     """Align a fresh pool worker with the parent's tuning state.
 
     Fork workers inherit it anyway; with the spawn start method (or
     after the parent reconfigured mid-session) this keeps the persistent
-    memo store (directory *and* access mode), the engine toggles, and
+    memo store (directory *and* access mode), the engine switch, and
     the active fault-injection plan consistent across the fleet.
     """
+    import gc as _gc
     import os as _os
     import signal as _signal
 
-    from repro.cache.memo import set_fast_cache, set_trace_memo
+    # Never collect what the fork inherited.  A lock another parent
+    # thread held at the fork stays held here for good, and inherited
+    # garbage runs parent callbacks when collected: a retired pool's
+    # weakref callback takes that pool's shutdown lock, which its
+    # manager thread holds while closing down after a worker crash, so
+    # a worker forked at that moment would deadlock mid-cell.
+    _gc.freeze()
+
+    from repro.cache.memo import set_fast_cache
     from repro.cache.store import active_memo_store, configure_memo_store
-    from repro.sim.qplan import set_quantum_batch
     from repro.util.faults import PLAN_ENV
 
     # Shed fork-inherited asyncio signal plumbing.  A parent running an
@@ -125,8 +131,6 @@ def _pool_worker_init(
         _signal.signal(_signal.SIGINT, _signal.SIG_DFL)
 
     set_fast_cache(fast_cache)
-    set_trace_memo(trace_memo)
-    set_quantum_batch(quantum_batch)
     if fault_plan:
         _os.environ[PLAN_ENV] = fault_plan
     else:
@@ -141,9 +145,8 @@ def _pool_worker_init(
 def _pool_init_args() -> tuple[object, ...]:
     import os as _os
 
-    from repro.cache.memo import fast_cache_enabled, trace_memo_enabled
+    from repro.cache.memo import fast_cache_enabled
     from repro.cache.store import active_memo_store
-    from repro.sim.qplan import quantum_batch_enabled
     from repro.util.faults import PLAN_ENV
 
     store = active_memo_store()
@@ -151,8 +154,6 @@ def _pool_init_args() -> tuple[object, ...]:
         str(store.root) if store is not None else None,
         store.mode if store is not None else "rw",
         fast_cache_enabled(),
-        trace_memo_enabled(),
-        quantum_batch_enabled(),
         _os.environ.get(PLAN_ENV),
     )
 
@@ -168,7 +169,7 @@ class _WorkerPool:
     an instance of its own.  The pool is retired, so that one lives at a
     time, when a different ``jobs`` count asks for one or when
     fork-inherited state changed since it started (plugin registrations,
-    engine toggles, memo-store reconfiguration — see
+    the engine switch, memo-store reconfiguration — see
     repro.util.invalidation).
 
     The lock serializes every swap: engines reach the shared owner from

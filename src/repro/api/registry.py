@@ -12,8 +12,7 @@ difference is the ``origin`` tag shown by ``python -m repro list``.
 from __future__ import annotations
 
 import re
-import warnings
-from collections.abc import Iterator, MutableMapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
@@ -143,85 +142,6 @@ class Registry(Generic[T]):
 
     def __repr__(self) -> str:
         return f"Registry({self.kind!r}, {self.names()!r})"
-
-    def legacy_mapping(
-        self,
-        replacement: str,
-        wrap: "Callable[[str, object], object] | None" = None,
-        unwrap: "Callable[[str, object], object] | None" = None,
-    ) -> "LegacyRegistryView":
-        """A dict-like deprecation shim over this registry.
-
-        Old call sites that indexed the closed factory tables
-        (``SCHEDULER_REGISTRY["LS"]``, ``MACHINE_PRESETS["paper"]``)
-        keep working through the returned view; mutating it still
-        registers, but warns and points at ``replacement``.  ``wrap``
-        adapts registry values to the old mapping's value type on read;
-        ``unwrap`` is its inverse, applied on write.
-        """
-        return LegacyRegistryView(self, replacement, wrap, unwrap)
-
-
-class LegacyRegistryView(MutableMapping):
-    """Mutable mapping facade kept for the pre-``repro.api`` call paths.
-
-    Reads are silent (they are harmless and the figures' own code used
-    them); writes emit a :class:`DeprecationWarning` naming the
-    registration decorator that replaces them, then forward to the
-    registry so legacy registrations stay visible everywhere.
-    """
-
-    def __init__(
-        self,
-        registry: Registry,
-        replacement: str,
-        wrap: "Callable[[str, object], object] | None" = None,
-        unwrap: "Callable[[str, object], object] | None" = None,
-    ) -> None:
-        self._registry = registry
-        self._replacement = replacement
-        #: Optional value adapters (e.g. machine override tuples <-> the
-        #: MachineVariant objects the old mapping held): ``wrap`` on
-        #: read, ``unwrap`` on write.
-        self._wrap = wrap
-        self._unwrap = unwrap
-
-    def __getitem__(self, name: str) -> object:
-        value = self._registry.get(name)  # UnknownEntryError is a KeyError
-        return self._wrap(name, value) if self._wrap is not None else value
-
-    def __setitem__(self, name: str, value: object) -> None:
-        warnings.warn(
-            f"registering a {self._registry.kind} by mapping assignment is "
-            f"deprecated; use {self._replacement} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._unwrap is not None:
-            value = self._unwrap(name, value)
-        # Deprecated mapping shim over Registry.register — the warning
-        # above already steers callers to the module-scope idiom.
-        self._registry.register(  # repro-check: ignore[nested-registration]
-            name, value, overwrite=True
-        )
-
-    def __delitem__(self, name: str) -> None:
-        warnings.warn(
-            f"deleting a {self._registry.kind} by mapping deletion is "
-            f"deprecated; use the registry's unregister() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._registry.unregister(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry)
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __repr__(self) -> str:
-        return f"LegacyRegistryView({self._registry!r})"
 
 
 def _first_doc_line(value: object) -> str:

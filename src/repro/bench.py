@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.cache.fast_engine import analyze_trace, simulate_trace, warm_adjust
 from repro.cache.geometry import CacheGeometry
-from repro.cache.memo import TRACE_MEMO, set_fast_cache, set_trace_memo
+from repro.cache.memo import TRACE_MEMO, set_fast_cache
 from repro.cache.native import KernelState, KernelTrace, kernel
 from repro.cache.sa_cache import SetAssociativeCache
 
@@ -178,18 +178,17 @@ def _bench_budget(quick: bool) -> dict:
 def _bench_quantum_batch(quick: bool) -> dict:
     """The fast preemptive driver vs the scalar rows loop.
 
-    Runs one RRS mix at a 32k-cycle quantum, then repeats with batching
-    disabled.  The fast driver is the compiled kernel where it loads;
-    without it, the quantum is comfortably above the adaptive batching
-    threshold (:data:`repro.sim.qplan.MIN_BATCH_WINDOW`), so the
-    compiled-plan executor is active.
+    Runs one RRS mix at a 32k-cycle quantum, then repeats with the
+    engine switch off.  The fast path is the compiled kernel where it
+    loads; without it, the quantum is comfortably above the adaptive
+    batching threshold (:data:`repro.sim.qplan.MIN_BATCH_WINDOW`), so
+    the compiled-plan executor is active.
     """
     from dataclasses import replace as dc_replace
 
     from repro.campaign.spec import build_campaign_workload
     from repro.sched.round_robin import RoundRobinScheduler
     from repro.sim.config import MachineConfig
-    from repro.sim.qplan import set_quantum_batch
     from repro.sim.simulator import MPSoCSimulator
 
     mix = "mix:2" if quick else "mix:6"
@@ -197,23 +196,18 @@ def _bench_quantum_batch(quick: bool) -> dict:
     config = dc_replace(MachineConfig.paper_default(), quantum_cycles=32_000)
     simulator = MPSoCSimulator(config)
     scheduler = RoundRobinScheduler()
-    simulator.run(epg, scheduler)  # warm traces, analyses, plans
 
-    def batched():
-        simulator.run(epg, scheduler)
-
-    def scalar():
-        previous = set_quantum_batch(False)
+    def run_with(fast: bool) -> None:
+        previous = set_fast_cache(fast)
         try:
             simulator.run(epg, scheduler)
         finally:
-            set_quantum_batch(previous)
+            set_fast_cache(previous)
 
-    set_quantum_batch(False)
-    simulator.run(epg, scheduler)  # warm the scalar rows too
-    set_quantum_batch(True)
-    batch_s = _best(batched)
-    scalar_s = _best(scalar)
+    run_with(True)  # warm traces, analyses, plans
+    run_with(False)  # warm the scalar rows too
+    batch_s = _best(lambda: run_with(True))
+    scalar_s = _best(lambda: run_with(False))
     return {
         "workload": mix,
         "quantum_cycles": 32_000,
@@ -279,35 +273,33 @@ def _bench_figure7(quick: bool) -> dict:
     configure_memo_store(None)
 
     max_tasks = 2 if quick else None
-
-    # The first pass runs everything cold — this is what a fresh
-    # ``python -m repro figure7`` costs (minus interpreter startup) and
-    # what the headline speedup is measured on.  It also warms the
-    # one-time state both engines share (workload graphs, iteration
-    # spaces, data sets, traces); the subsequent passes then start with
-    # cold trace/cell memos but warm workloads, so the fast-vs-scalar
-    # comparison isolates trace execution.
-    start = time.perf_counter()
-    run_figure7(max_tasks=max_tasks)
-    cold_s = time.perf_counter() - start
-
-    TRACE_MEMO.clear()
-    clear_cell_memo()
-    start = time.perf_counter()
-    run_figure7(max_tasks=max_tasks)
-    fast_s = time.perf_counter() - start
-    memo_stats = TRACE_MEMO.stats()
-
-    clear_cell_memo()
-    previous = set_fast_cache(False)
-    set_trace_memo(False)
+    previous = set_fast_cache(True)
     try:
+        # The first pass runs everything cold — this is what a fresh
+        # ``python -m repro figure7`` costs (minus interpreter startup)
+        # and what the headline speedup is measured on.  It also warms
+        # the one-time state both engines share (workload graphs,
+        # iteration spaces, data sets, traces); the subsequent passes
+        # then start with cold trace/cell memos but warm workloads, so
+        # the fast-vs-scalar comparison isolates trace execution.
+        start = time.perf_counter()
+        run_figure7(max_tasks=max_tasks)
+        cold_s = time.perf_counter() - start
+
+        TRACE_MEMO.clear()
+        clear_cell_memo()
+        start = time.perf_counter()
+        run_figure7(max_tasks=max_tasks)
+        fast_s = time.perf_counter() - start
+        memo_stats = TRACE_MEMO.stats()
+
+        clear_cell_memo()
+        set_fast_cache(False)
         start = time.perf_counter()
         run_figure7(max_tasks=max_tasks)
         scalar_s = time.perf_counter() - start
     finally:
         set_fast_cache(previous)
-        set_trace_memo(True)
         if previous_store is not None:
             configure_memo_store(previous_store.root, mode=previous_store.mode)
     result = {

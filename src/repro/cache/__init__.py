@@ -16,7 +16,10 @@ The MPSoC in the paper gives each core a private L1 data cache (Table 2:
   reuse-distance engine that executes whole traces with NumPy passes,
   bit-identical to the scalar model (see ``docs/PERFORMANCE.md``);
 - :class:`TraceMemo` / :func:`execute_trace` — cross-run memoization of
-  whole-trace executions keyed by exact cache state and trace content.
+  whole-trace executions keyed by exact cache state and trace content;
+- :func:`set_fast_cache` / :func:`scalar_fallback` — the one engine
+  switch (``REPRO_FAST_CACHE``): the fast engines above, or the scalar
+  model everywhere.
 """
 
 from repro.cache.fast_engine import CacheState, TraceRun, simulate_trace
@@ -26,9 +29,8 @@ from repro.cache.memo import (
     TraceMemo,
     execute_trace,
     fast_cache_enabled,
+    scalar_fallback,
     set_fast_cache,
-    set_trace_memo,
-    trace_memo_enabled,
 )
 from repro.cache.sa_cache import SetAssociativeCache
 from repro.cache.stats import CacheStats
@@ -46,8 +48,7 @@ __all__ = [
     "TraceRun",
     "execute_trace",
     "fast_cache_enabled",
+    "scalar_fallback",
     "set_fast_cache",
-    "set_trace_memo",
     "simulate_trace",
-    "trace_memo_enabled",
 ]

@@ -22,47 +22,42 @@ results are bit-identical to cold scalar execution.
 The memo is in-process (each campaign worker builds its own) and
 bounded: when full, the oldest entries are evicted in insertion order.
 
-Where the compiled LRU kernel (:mod:`repro.cache.native`) loads, the
-simulator drivers run every trace through it instead, and neither this
-memo nor the vectorized engine is consulted; they are the path for
-machines without a C compiler.
+The engine switch
+-----------------
+``REPRO_FAST_CACHE`` (read at import; :func:`set_fast_cache` overrides
+it for the process, :func:`scalar_fallback` for the calling thread) is
+the only engine setting, with two states:
 
-Environment switches (read at import, overridable via
-:func:`set_fast_cache` / :func:`set_trace_memo`):
+- **on** (the default): the compiled LRU kernel
+  (:mod:`repro.cache.native`) wherever it loads.  Without it, whole
+  traces run through this memo and
+  :func:`~repro.cache.fast_engine.warm_adjust`, and preemptive quanta
+  through compiled quantum plans (:mod:`repro.sim.qplan`) on the cores
+  whose expected window clears ``MIN_BATCH_WINDOW``.
+- **off** (``REPRO_FAST_CACHE=0``): the scalar reference cache
+  everywhere — the oracle the fast engines are tested against.
 
-- ``REPRO_FAST_CACHE=0`` — disable the compiled kernel, the vectorized
-  engine *and* the memo; every trace runs through the scalar reference
-  cache.
-- ``REPRO_TRACE_MEMO=0`` — keep the vectorized engine for long traces
-  but disable the analysis memo (useful for benchmarking the engine
-  alone; the kernel never uses the memo).
+The simulator reads the switch once per run and picks every backend
+from it; :func:`execute_trace` and the quantum planner never consult it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.cache.fast_engine import (
-    TraceAnalysis,
-    analyze_trace,
-    simulate_trace,
-    warm_adjust,
-)
+from repro.cache.fast_engine import TraceAnalysis, analyze_trace, warm_adjust
 
 from repro.util.invalidation import register_worker_state
 
 if TYPE_CHECKING:
     from repro.cache.sa_cache import SetAssociativeCache
-
-#: Below this many accesses a cold scalar walk is cheaper than the
-#: vectorized kernel's fixed setup cost, so unmemoizable small traces
-#: skip the engine.
-MIN_VECTORIZED_LEN = 2048
 
 #: Analyses are per trace *content* — a few hundred per experiment grid —
 #: so the bound exists only to keep pathological workloads in check.
@@ -72,19 +67,21 @@ _fast_cache_enabled = os.environ.get("REPRO_FAST_CACHE", "1") != "0"
 register_worker_state(
     __name__, "_fast_cache_enabled", note="setter bumps the epoch"
 )
-_trace_memo_enabled = os.environ.get("REPRO_TRACE_MEMO", "1") != "0"
+#: :func:`scalar_fallback`'s override, one per thread, so a downgrading
+#: cell never switches a sibling cell's engines.
+_scalar_override = threading.local()
 register_worker_state(
-    __name__, "_trace_memo_enabled", note="setter bumps the epoch"
+    __name__, "_scalar_override", note="per thread, restored on scope exit"
 )
 
 
 def fast_cache_enabled() -> bool:
-    """Whether the fast engines (compiled kernel, vectorized engine) are active."""
-    return _fast_cache_enabled
+    """The engine switch as the calling thread sees it."""
+    return _fast_cache_enabled and not getattr(_scalar_override, "on", False)
 
 
 def set_fast_cache(enabled: bool) -> bool:
-    """Toggle the fast engines; returns the previous setting."""
+    """Set the engine switch for the process; returns the previous setting."""
     global _fast_cache_enabled
     previous = _fast_cache_enabled
     _fast_cache_enabled = bool(enabled)
@@ -95,21 +92,24 @@ def set_fast_cache(enabled: bool) -> bool:
     return previous
 
 
-def trace_memo_enabled() -> bool:
-    """Whether cross-run memoization is active."""
-    return _trace_memo_enabled
+@contextmanager
+def scalar_fallback() -> Iterator[None]:
+    """Turn the engine switch off in the calling thread for one cell.
 
-
-def set_trace_memo(enabled: bool) -> bool:
-    """Toggle memoization; returns the previous setting."""
-    global _trace_memo_enabled
-    previous = _trace_memo_enabled
-    _trace_memo_enabled = bool(enabled)
-    if previous != _trace_memo_enabled:
-        from repro.util.invalidation import bump_worker_state_epoch
-
-        bump_worker_state_epoch()
-    return previous
+    The degradation path of :func:`repro.campaign.executor.execute_run`:
+    when a fast engine raises, the cell re-runs on the scalar oracle
+    under this manager.  The override is per thread, so cells running
+    concurrently under the ``threads`` policy keep their engines.
+    Unlike :func:`set_fast_cache` it does not bump the worker-state
+    epoch — the downgrade is local to one cell and undone on exit, so
+    it must not retire a healthy worker pool.
+    """
+    previous = getattr(_scalar_override, "on", False)
+    _scalar_override.on = True
+    try:
+        yield
+    finally:
+        _scalar_override.on = previous
 
 
 def trace_fingerprint(lines: np.ndarray, writes: np.ndarray | None) -> bytes:
@@ -222,7 +222,7 @@ def execute_trace(
     cache: "SetAssociativeCache",
     lines: np.ndarray,
     writes: np.ndarray | None,
-    fingerprint: bytes | None = None,
+    fingerprint: bytes,
     memo: TraceMemo | None = None,
 ) -> tuple[int, int]:
     """Run a whole trace on a live cache through the analysis memo.
@@ -232,20 +232,6 @@ def execute_trace(
     ``fingerprint`` keys the memo; pass the cached
     per-:class:`~repro.sim.trace.ProcessTrace` digest to avoid rehashing.
     """
-    if not _fast_cache_enabled:
-        return cache.run_trace(lines, writes)
-    if not _trace_memo_enabled or fingerprint is None:
-        if len(lines) < MIN_VECTORIZED_LEN:
-            return cache.run_trace(lines, writes)
-        run = simulate_trace(
-            lines,
-            writes,
-            cache.geometry.num_sets,
-            cache.geometry.associativity,
-            cache.export_state(),
-        )
-        _apply(cache, run.counters(), run.end_state)
-        return run.hits, run.misses
     geometry = cache.geometry
     num_sets = geometry.num_sets
     assoc = geometry.associativity

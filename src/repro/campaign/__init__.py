@@ -39,7 +39,6 @@ from repro.campaign.rollup import (
 )
 from repro.campaign.spec import (
     DEFAULT_SCHEDULERS,
-    MACHINE_PRESETS,
     CampaignSpec,
     MachineVariant,
     RunSpec,
@@ -56,7 +55,6 @@ __all__ = [
     "CampaignOutcome",
     "CampaignSpec",
     "DEFAULT_SCHEDULERS",
-    "MACHINE_PRESETS",
     "MachineVariant",
     "ResultStore",
     "RollupRow",

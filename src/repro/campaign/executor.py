@@ -234,20 +234,20 @@ def _adopt_cached(run: RunSpec, cached: "RunResult") -> "RunResult":
 def execute_run(run: RunSpec) -> RunResult:
     """Execute one cell; pure function of the spec (workers call this).
 
-    A cell whose fast path (compiled kernel, quantum batching,
-    vectorized engine) raises is transparently re-run under the pure
+    A cell whose fast path (compiled kernel, compiled quantum plans,
+    memoized analysis) raises is transparently re-run under the pure
     scalar oracle — bit-identical by construction — and the result
     carries the downgrade note, so one bad compiled plan degrades one
-    cell's speed, never a campaign.
+    cell's speed, never a campaign.  The downgrade switches the engines
+    of the calling thread only, so concurrent cells keep theirs.
     """
     fault_point("cell", run.cell_key())
     try:
         return _execute_cell(run)
     except Exception as exc:
-        from repro.cache.memo import fast_cache_enabled
-        from repro.sim.qplan import quantum_batch_enabled, scalar_fallback
+        from repro.cache.memo import fast_cache_enabled, scalar_fallback
 
-        if not (fast_cache_enabled() or quantum_batch_enabled()):
+        if not fast_cache_enabled():
             raise  # already on the scalar oracle: the error is organic
         with scalar_fallback():
             result = _execute_cell(run)
@@ -334,29 +334,22 @@ def _execute_cell(run: RunSpec) -> RunResult:
     return run_result
 
 
-def execute_chunk(runs: list[RunSpec]) -> "list[RunResult]":
-    """Execute a batch of cells in one worker round trip.
-
-    The pooled executor groups cells by workload before dispatch, so a
-    chunk's cells share the worker's memoized EPGs, traces, and
-    analyses instead of rebuilding them once per task.
-    """
-    return [execute_run(run) for run in runs]
-
-
 #: One cell's outcome within a unit: ``("ok", result)`` or ``("err", exc)``.
 Outcome = tuple[str, RunResult | Exception]
 
 
 def execute_chunk_outcomes(runs: list[RunSpec]) -> list[Outcome]:
-    """Execute a batch, reporting per-cell errors as data, not raises.
+    """Execute a batch in one worker round trip, errors as data.
 
-    The engine's fan-out loop needs exact failure attribution — which
-    cell of a chunk raised — so worker-side exceptions travel back as
-    ``("err", exc)`` markers next to their siblings' ``("ok", result)``
-    instead of poisoning the whole chunk.  A future-level exception
-    therefore always means the transport died (worker crash, broken
-    pool), never a cell.
+    The pooled executor groups cells by workload before dispatch, so a
+    chunk's cells share the worker's memoized EPGs, traces, and
+    analyses instead of rebuilding them once per task.  The engine's
+    fan-out loop needs exact failure attribution — which cell of a
+    chunk raised — so worker-side exceptions travel back as ``("err",
+    exc)`` markers next to their siblings' ``("ok", result)`` instead
+    of poisoning the whole chunk.  A future-level exception therefore
+    always means the transport died (worker crash, broken pool), never
+    a cell.
     """
     outcomes: list[Outcome] = []
     for run in runs:

@@ -13,9 +13,7 @@ through the same :func:`~repro.experiments.runner.run_comparison` path
 the per-figure harnesses always used.
 
 Workloads, schedulers, and machine presets resolve through the open
-registries in :mod:`repro.api.registries`; the old closed tables
-(``SCHEDULER_REGISTRY``, ``MACHINE_PRESETS``) survive as deprecated live
-views so existing call sites keep working.
+registries in :mod:`repro.api.registries`.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.api.registries import MACHINES, SCHEDULERS, WORKLOADS, WorkloadFactory
 from repro.errors import CampaignError, UnknownEntryError
@@ -255,33 +253,6 @@ def _preset_variant(
     return MachineVariant(name=name, overrides=tuple(overrides))
 
 
-def _preset_overrides(
-    name: str, value: object
-) -> tuple[tuple[str, object], ...]:
-    """Inverse of :func:`_preset_variant` for legacy-mapping writes."""
-    if isinstance(value, MachineVariant):
-        return value.overrides
-    if isinstance(value, MachineConfig):
-        return MachineVariant.from_config(name, value).overrides
-    try:
-        return _pairs(dict(value))  # a plain overrides mapping
-    except (TypeError, ValueError):
-        raise CampaignError(
-            f"machine preset {name!r} must be a MachineVariant, "
-            f"MachineConfig, or overrides mapping, got {value!r}"
-        ) from None
-
-
-#: Deprecated view of the machine-preset registry, kept for the
-#: pre-``repro.api`` call paths; register new presets with
-#: :func:`repro.api.register_machine` instead.
-MACHINE_PRESETS = MACHINES.legacy_mapping(
-    "repro.api.register_machine",
-    wrap=_preset_variant,
-    unwrap=_preset_overrides,
-)
-
-
 def resolve_machine_preset(name: str) -> MachineVariant:
     """Look up a preset in the :data:`~repro.api.registries.MACHINES` registry."""
     try:
@@ -292,13 +263,6 @@ def resolve_machine_preset(name: str) -> MachineVariant:
 
 
 # -- scheduler specs --------------------------------------------------------------
-
-#: Deprecated view of the scheduler registry (name -> ``factory(seed,
-#: **params)``), kept for the pre-``repro.api`` call paths; register new
-#: schedulers with :func:`repro.api.register_scheduler` instead.
-SCHEDULER_REGISTRY: Mapping[str, Callable[..., Scheduler]] = (
-    SCHEDULERS.legacy_mapping("repro.api.register_scheduler")
-)
 
 
 @dataclass(frozen=True)

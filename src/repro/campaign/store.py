@@ -137,11 +137,6 @@ class ResultStore:
         """Durably append one quarantined cell's failure record."""
         self._append_record(failure.to_dict())
 
-    def append_all(self, results: Iterable["RunResult"]) -> None:
-        """Append many results (used when importing external runs)."""
-        for result in results:
-            self.append(result)
-
     def __repr__(self) -> str:
         return f"ResultStore({str(self.path)!r})"
 

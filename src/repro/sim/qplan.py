@@ -64,43 +64,33 @@ are the path for machines without a C compiler.
 Results are bit-identical to the scalar walk; the kernel-vs-scalar
 equivalence suite (``tests/test_quantum_batch.py``) enforces this over
 hundreds of seeded closed and open runs, with and without the kernel.
-``REPRO_QUANTUM_BATCH=0`` (or :func:`set_quantum_batch`) restores the
-scalar per-access path; the kernel and the batch also disable themselves
-whenever the fast engine is off (the batch also when the trace memo is),
-keeping ``REPRO_FAST_CACHE=0`` a pure scalar oracle mode.
+This module never reads the engine switch (``REPRO_FAST_CACHE``, see
+:mod:`repro.cache.memo`): the simulator decides per run, and per core,
+whether quanta reach :func:`run_plan_quantum` at all.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.memo import TraceMemo, memoized_analysis
+from repro.cache.memo import TraceMemo, memoized_analysis, set_fast_cache
 from repro.cache.native import KernelState, KernelTrace
 from repro.cache.sa_cache import SetAssociativeCache
 from repro.errors import ValidationError
 from repro.sim.trace import ProcessTrace
 from repro.util.faults import fault_point
-from repro.util.invalidation import register_worker_state
 from repro.util.memo import BoundedDict
-
-_quantum_batch_enabled = os.environ.get("REPRO_QUANTUM_BATCH", "1") != "0"
-register_worker_state(
-    __name__, "_quantum_batch_enabled", note="setter bumps the epoch"
-)
 
 #: Minimum expected *executed* accesses per quantum for the batched path
 #: to beat the scalar loop (measured crossover ≈ 1200 on the Table-2
 #: machine: its default 8k-cycle quantum runs ≈ 830 accesses and stays
 #: scalar, a 16k quantum runs ≈ 1700 and batches).  The driver compares
 #: ``budget / (mean base cost + miss_extra × estimated miss rate)``
-#: per core against this, like ``MIN_VECTORIZED_LEN`` gates the
-#: whole-trace engine.
+#: per core against this.
 MIN_BATCH_WINDOW = 1280
 
 #: Miss-rate assumption for sizing quanta when no memoized analysis is
@@ -151,47 +141,9 @@ def estimate_quantum_accesses(
     return budget / expected
 
 
-def quantum_batch_enabled() -> bool:
-    """Whether the batched preemptive driver path is active."""
-    return _quantum_batch_enabled
-
-
-def set_quantum_batch(enabled: bool) -> bool:
-    """Toggle quantum batching; returns the previous setting."""
-    global _quantum_batch_enabled
-    previous = _quantum_batch_enabled
-    _quantum_batch_enabled = bool(enabled)
-    if previous != _quantum_batch_enabled:
-        from repro.util.invalidation import bump_worker_state_epoch
-
-        bump_worker_state_epoch()
-    return previous
-
-
-@contextmanager
-def scalar_fallback() -> Iterator[None]:
-    """Force the pure scalar oracle for the duration of one cell.
-
-    The degradation path of :func:`repro.campaign.executor.execute_run`:
-    when the batched or vectorized engine raises, the cell re-runs under
-    this manager, which disables quantum batching *and* the fast cache.
-    Unlike :func:`set_quantum_batch`/:func:`set_fast_cache` it does not
-    bump the worker-state epoch — the downgrade is local to one cell and
-    fully restored before any pool-reuse decision can observe it, so it
-    must not retire a healthy worker pool.
-    """
-    from repro.cache import memo as cache_memo
-
-    global _quantum_batch_enabled
-    previous_batch = _quantum_batch_enabled
-    previous_fast = cache_memo._fast_cache_enabled
-    _quantum_batch_enabled = False
-    cache_memo._fast_cache_enabled = False
-    try:
-        yield
-    finally:
-        _quantum_batch_enabled = previous_batch
-        cache_memo._fast_cache_enabled = previous_fast
+#: The benchmark's scalar oracle still switches engines through this
+#: name; it is :func:`repro.cache.memo.set_fast_cache` itself.
+set_quantum_batch = set_fast_cache
 
 
 @dataclass

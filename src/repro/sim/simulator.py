@@ -42,6 +42,15 @@ its own cache and every charged duration is ceiling-scaled by the core's
 speed.  Homogeneous configs (the default) execute the identical integer
 arithmetic as before.
 
+Engines: each run reads the engine switch (``REPRO_FAST_CACHE``, see
+:mod:`repro.cache.memo`) once, in :class:`_Cores`, which picks every
+backend from it.  On, the compiled LRU kernel runs every trace and
+quantum where it loads, unless misses are classified; without it, whole
+traces go through the analysis memo and quanta through compiled quantum
+plans on the cores whose expected window clears ``MIN_BATCH_WINDOW``.
+Off, every access walks the scalar reference cache.  All backends are
+bit-identical.
+
 Modelling notes (documented substitutions for Simics):
 
 - Caches are tag-only, true-LRU, write-allocate; dirty write-backs are
@@ -71,7 +80,7 @@ from types import MappingProxyType
 from typing import Sequence
 
 from repro.cache import native
-from repro.cache.memo import execute_trace, fast_cache_enabled, trace_memo_enabled
+from repro.cache.memo import execute_trace, fast_cache_enabled
 from repro.cache.miss_classifier import MissClassifier
 from repro.cache.native import KernelState
 from repro.cache.sa_cache import SetAssociativeCache
@@ -85,7 +94,7 @@ from repro.sim.contention import contention_model_for
 from repro.sim.engine import EventQueue
 from repro.sim.qplan import MIN_BATCH_WINDOW, compile_quantum_plan
 from repro.sim.qplan import estimate_quantum_accesses, make_way_table
-from repro.sim.qplan import quantum_batch_enabled, run_plan_quantum
+from repro.sim.qplan import run_plan_quantum
 from repro.sim.results import CoreRecord, OpenSystemResult, ProcessRecord
 from repro.sim.results import SimulationResult
 from repro.sim.trace import ProcessTrace, build_trace
@@ -313,9 +322,11 @@ class _Cores:
     Owns each core's cache (and miss classifier), the compiled-kernel tag
     state when the run uses it, the machine's contention model, and the
     busy/dispatch/contention tallies its :class:`CoreRecord`\\ s report.
+    It reads the engine switch (:func:`~repro.cache.memo.fast_cache_enabled`)
+    once, so one run never mixes the fast engines with the scalar oracle.
     """
 
-    def __init__(self, config: MachineConfig, kernel: bool) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config
         num_cores = config.num_cores
         self.caches = [
@@ -327,11 +338,15 @@ class _Cores:
             if config.classify_misses
             else None
         )
-        # The compiled kernel, when asked for and loadable, holds each
-        # core's tags for the whole run (the caches then only accumulate
-        # statistics); it is built on the first run that asks for it.
-        # Never under the scalar oracle.
-        library = native.kernel() if kernel and fast_cache_enabled() else None
+        self.fast = fast_cache_enabled()
+        # The compiled kernel, when the switch is on and it loads, holds
+        # each core's tags for the whole run (the caches then only
+        # accumulate statistics); it is built on the first run that asks
+        # for it.  Miss classification must see every access, so it keeps
+        # the run off the kernel.
+        library = (
+            native.kernel() if self.fast and not config.classify_misses else None
+        )
         self.states = (
             None
             if library is None
@@ -356,7 +371,7 @@ class _Cores:
             cache.stats.add(counters)
             return counters[0], counters[1]
         if self.classifiers is None:
-            if fast_cache_enabled():
+            if self.fast:
                 return execute_trace(
                     cache, trace.lines, trace.writes, fingerprint=trace.fingerprint()
                 )
@@ -415,14 +430,13 @@ class _Cores:
 class _WholeTraces:
     """Non-preemptive dispatch: every segment runs a whole trace.
 
-    Miss classification must see every access, so it keeps the run off
-    the compiled kernel.  A freed core rejoins the idle set.
+    A freed core rejoins the idle set.
     """
 
     freed_core_first = False
 
     def __init__(self, config: MachineConfig) -> None:
-        self.cores = _Cores(config, kernel=not config.classify_misses)
+        self.cores = _Cores(config)
 
     def run(
         self, core: int, trace: ProcessTrace, cursor: int
@@ -514,10 +528,9 @@ class _SharedQueuePolicy:
                 "miss classification is not supported in shared-queue mode; "
                 "use a static or dynamic plan"
             )
-        # The compiled kernel, when it loads, holds every core's tags for
-        # the whole run and executes each quantum in one call; quantum
-        # batching off keeps RRS on the scalar loop.
-        self.cores = cores = _Cores(config, kernel=quantum_batch_enabled())
+        # The compiled kernel, when the run uses it, holds every core's
+        # tags for the whole run and executes each quantum in one call.
+        self.cores = cores = _Cores(config)
         self._queue: deque[str] = deque()
         self._hit_cost = config.cache_hit_cycles
         self._miss_extra = config.memory_latency_cycles
@@ -537,7 +550,7 @@ class _SharedQueuePolicy:
         # compiled quantum plan (repro.sim.qplan) on a vectorized way
         # table (associativity ≤ 2, the paper machine) or, table None,
         # the scalar cache's per-set lists in place.  All are
-        # bit-identical and gated on the fast engine, so
+        # bit-identical and follow the run's engine switch, so
         # REPRO_FAST_CACHE=0 remains a pure scalar oracle mode.  Compiled
         # plans pay off only when quanta span enough accesses to amortize
         # their per-quantum vector setup, so each core opts in by its
@@ -546,12 +559,7 @@ class _SharedQueuePolicy:
         # state in one backend.
         self._batch = [cores.states is not None] * num_cores
         self._tables: list = cores.states or [None] * num_cores
-        if (
-            cores.states is None
-            and quantum_batch_enabled()
-            and fast_cache_enabled()
-            and trace_memo_enabled()
-        ):
+        if cores.fast and cores.states is None:
             estimates: dict[tuple, float] = {}
             for core, cache in enumerate(cores.caches):
                 geometry = cache.geometry

@@ -5,7 +5,7 @@ The campaign engine keeps one long-lived worker pool across
 start: a fresh interpreter plus a NumPy import per worker).  Forked
 workers snapshot the parent's module state at pool creation, so any
 later change the workers must observe — a plugin registered at runtime,
-the fast-cache/memo toggles, a reconfigured persistent memo store —
+the engine switch, a reconfigured persistent memo store —
 would silently not reach them.  Every such mutation calls
 :func:`bump_worker_state_epoch`; the pool cache compares epochs and
 replaces a stale pool instead of reusing it.

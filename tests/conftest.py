@@ -32,12 +32,12 @@ from repro.presburger.terms import var
 from repro.sim.config import MachineConfig
 
 #: The process-level knobs the runtime reads from the environment.
-#: ``REPRO_QUANTUM_BATCH`` is sampled once at import, so restoring it
-#: here protects hash keys and subprocess spawns, not the in-process
-#: default; CI's matrix export (set before pytest starts) is unaffected.
+#: ``REPRO_FAST_CACHE`` is sampled once at import, so restoring it
+#: here protects subprocess spawns, not the in-process setting; CI's
+#: matrix export (set before pytest starts) is unaffected.
 ISOLATED_ENV_VARS = (
     "REPRO_MEMO_DIR",
-    "REPRO_QUANTUM_BATCH",
+    "REPRO_FAST_CACHE",
     "REPRO_FAULT_PLAN",
 )
 

@@ -357,44 +357,6 @@ class TestPlugins:
 
 
 class TestDeprecationShims:
-    def test_scheduler_registry_view_reads(self):
-        from repro.campaign.spec import SCHEDULER_REGISTRY
-
-        scheduler = SCHEDULER_REGISTRY["RS"](41)
-        assert scheduler.seed == 41
-        assert set(SCHEDULER_REGISTRY) >= {"RS", "RRS", "LS", "LSM"}
-
-    def test_scheduler_registry_view_write_warns_and_registers(self):
-        from repro.campaign.spec import SCHEDULER_REGISTRY
-
-        with pytest.warns(DeprecationWarning, match="register_scheduler"):
-            SCHEDULER_REGISTRY["test-legacy"] = lambda seed, **p: None
-        try:
-            assert "test-legacy" in SCHEDULERS
-        finally:
-            SCHEDULERS.unregister("test-legacy")
-
-    def test_machine_presets_view_returns_variants(self):
-        from repro.campaign.spec import MACHINE_PRESETS
-
-        variant = MACHINE_PRESETS["cache-16k"]
-        assert isinstance(variant, MachineVariant)
-        assert dict(variant.overrides) == {"cache_size_bytes": 16 * KIB}
-        assert MACHINE_PRESETS["paper"] == MachineVariant()
-
-    def test_machine_presets_view_write_round_trips(self):
-        # the old-API write shape: assign a MachineVariant, read it back
-        from repro.campaign.spec import MACHINE_PRESETS, resolve_machine_preset
-
-        written = MachineVariant.from_overrides("test-tiny", num_cores=2)
-        with pytest.warns(DeprecationWarning, match="register_machine"):
-            MACHINE_PRESETS["test-tiny"] = written
-        try:
-            assert MACHINE_PRESETS["test-tiny"] == written
-            assert resolve_machine_preset("test-tiny") == written
-        finally:
-            MACHINES.unregister("test-tiny")
-
     def test_run_comparison_still_works(self):
         # the pre-facade comparison primitive stays supported
         from repro.campaign.spec import build_campaign_workload

@@ -1,10 +1,10 @@
-"""The generic registry: registration, discovery, errors, legacy views."""
+"""The generic registry: registration, discovery, errors."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api.registry import LegacyRegistryView, Registry
+from repro.api.registry import Registry
 from repro.errors import RegistryError, UnknownEntryError
 
 
@@ -105,42 +105,3 @@ class TestContainerProtocol:
         assert "a" in registry and "missing" not in registry
         assert list(registry) == ["a", "b"]
         assert len(registry) == 2
-
-
-class TestLegacyView:
-    def test_reads_are_silent_and_live(self, registry):
-        view = registry.legacy_mapping("new_api()")
-        registry.register("a", 1)
-        assert view["a"] == 1
-        assert list(view) == ["a"]
-        assert len(view) == 1
-        assert "a" in view
-
-    def test_missing_key_raises_keyerror(self, registry):
-        view = registry.legacy_mapping("new_api()")
-        with pytest.raises(KeyError):
-            view["missing"]
-
-    def test_setitem_warns_and_registers(self, registry):
-        view = registry.legacy_mapping("new_api()")
-        with pytest.warns(DeprecationWarning, match="new_api()"):
-            view["a"] = 7
-        assert registry.get("a") == 7
-
-    def test_delitem_warns_and_unregisters(self, registry):
-        registry.register("a", 1)
-        view = registry.legacy_mapping("new_api()")
-        with pytest.warns(DeprecationWarning):
-            del view["a"]
-        assert "a" not in registry
-
-    def test_wrap_adapts_values(self, registry):
-        registry.register("a", (1, 2))
-        view = registry.legacy_mapping("new_api()", wrap=lambda name, v: sum(v))
-        assert view["a"] == 3
-
-    def test_is_mutable_mapping(self, registry):
-        assert isinstance(registry.legacy_mapping("x"), LegacyRegistryView)
-        registry.register("a", 1)
-        view = registry.legacy_mapping("x")
-        assert dict(view) == {"a": 1}

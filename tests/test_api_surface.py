@@ -71,6 +71,13 @@ class TestApiSurface:
     def test_export_map_covers_exactly_all(self):
         assert sorted(repro.api._EXPORTS) == sorted(repro.api.__all__)
 
+    def test_campaign_exports_resolve(self):
+        # not the facade, but its __all__ must not outlive a deletion
+        import repro.campaign
+
+        for name in repro.campaign.__all__:
+            assert hasattr(repro.campaign, name), name
+
 
 class TestVersion:
     def test_version_is_pep440ish(self):

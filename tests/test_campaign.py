@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.api.registries import MACHINES
 from repro.campaign.compat import group_comparisons
 from repro.campaign.executor import RunResult, execute_run, run_campaign
 from repro.campaign.rollup import (
@@ -17,7 +18,6 @@ from repro.campaign.rollup import (
 )
 from repro.campaign.spec import (
     DEFAULT_SCHEDULERS,
-    MACHINE_PRESETS,
     CampaignSpec,
     MachineVariant,
     RunSpec,
@@ -112,7 +112,7 @@ class TestMachineVariant:
             MachineVariant.from_overrides("bad", cache_size_bytes=3000)
 
     def test_presets_all_build(self):
-        for name in MACHINE_PRESETS:
+        for name in MACHINES:
             assert resolve_machine_preset(name).build() is not None
 
     def test_unknown_preset_rejected(self):

@@ -31,13 +31,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cache.memo import set_fast_cache
 from repro.sched.locality import StaticLocalityScheduler
 from repro.sched.random_sched import RandomScheduler
 from repro.sched.round_robin import RoundRobinScheduler
 from repro.sim.arrivals import AppArrival, ArrivalSchedule
 from repro.sim.config import MachineConfig
 from repro.sim.contention import BusContention, NocContention
-from repro.sim.qplan import set_quantum_batch
 from repro.sim.simulator import MPSoCSimulator
 
 from test_quantum_batch import _epg
@@ -204,13 +204,13 @@ class TestBatchedScalarEquality:
     ):
         epg = _epg(seed + 40)
         simulator = MPSoCSimulator(_machine(small_machine, name, params))
-        set_quantum_batch(True)
-        batched = simulator.run(epg, RoundRobinScheduler())
-        set_quantum_batch(False)
+        previous = set_fast_cache(True)
         try:
+            batched = simulator.run(epg, RoundRobinScheduler())
+            set_fast_cache(False)
             scalar = simulator.run(epg, RoundRobinScheduler())
         finally:
-            set_quantum_batch(True)
+            set_fast_cache(previous)
         assert _canon(batched) == _canon(scalar)
 
     @pytest.mark.parametrize("name,params", CONTENTION_OVERRIDES[:2])
@@ -227,13 +227,13 @@ class TestBatchedScalarEquality:
             )
         )
         simulator = MPSoCSimulator(_machine(small_machine, name, params))
-        set_quantum_batch(True)
-        batched = simulator.run_open(epg, RoundRobinScheduler(), schedule)
-        set_quantum_batch(False)
+        previous = set_fast_cache(True)
         try:
+            batched = simulator.run_open(epg, RoundRobinScheduler(), schedule)
+            set_fast_cache(False)
             scalar = simulator.run_open(epg, RoundRobinScheduler(), schedule)
         finally:
-            set_quantum_batch(True)
+            set_fast_cache(previous)
         assert _canon(batched) == _canon(scalar)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,6 +14,15 @@ from repro.api.engine import Engine, _chunk_runs
 from repro.campaign.spec import CampaignSpec, MachineVariant, RunSpec, SchedulerSpec
 from repro.util.faults import configure_fault_plan
 from repro.util.invalidation import bump_worker_state_epoch
+
+
+def _collect() -> bool:
+    gc.collect()
+    return True
+
+
+class _Node:
+    pass
 
 
 def _runs(workloads, schedulers=("LS", "RS"), seeds=(0,), scale=0.25):
@@ -177,3 +189,29 @@ class TestProcessPoolReuse:
             assert [r.key for r in results] == [run.cell_key() for run in runs]
         finally:
             SCHEDULERS.unregister(name)
+
+    def test_workers_never_collect_inherited_garbage(self):
+        """A fork copies the parent's garbage and its locks, held ones
+        included.  Garbage whose callback takes a lock held at the fork
+        (a retired pool's wakeup callback and its shutdown lock) would
+        deadlock a worker that collected it; workers leave it alone."""
+        lock = threading.Lock()
+        fired = []
+        pools = engine_module._WorkerPool()
+        gc.disable()  # keep the cycle uncollected until the fork
+        try:
+            node = _Node()
+            node.cycle = node
+            guard = weakref.ref(
+                node, lambda _: (lock.acquire(), lock.release(), fired.append(1))
+            )
+            del node
+            with lock:
+                future = pools.acquire(1).submit(_collect)
+            assert future.result(timeout=30)
+        finally:
+            gc.enable()
+            pools.retire(kill=True)
+        gc.collect()
+        assert fired == [1]  # the parent still collects its own garbage
+        assert guard() is None

@@ -28,7 +28,6 @@ from repro.cache.memo import (
     TraceMemo,
     execute_trace,
     set_fast_cache,
-    set_trace_memo,
     trace_fingerprint,
 )
 from repro.cache.sa_cache import SetAssociativeCache
@@ -208,32 +207,38 @@ class TestExecuteTraceMemo:
         other.access_line(33)
         assert snapshot == cache.export_state()
 
-    def test_disabled_engine_uses_scalar_path(self):
-        geometry = CacheGeometry(512, 2, 32)
-        lines = np.arange(4000, dtype=np.int64) % 48
-        previous = set_fast_cache(False)
+    def test_disabled_engine_uses_scalar_path(
+        self, monkeypatch, small_epg, small_machine
+    ):
+        """With the switch off, no run reaches a fast engine."""
+        import repro.sim.simulator as simulator_module
+        from repro.api.registries import SCHEDULERS
+        from repro.cache import native
+        from repro.sim.simulator import MPSoCSimulator
+
+        fast = {}
+        previous = set_fast_cache(True)
         try:
-            cache = SetAssociativeCache(geometry)
-            hits, misses = execute_trace(
-                cache, lines, None, trace_fingerprint(lines, None)
-            )
+            for name in ("LS-static", "LS", "RRS"):
+                fast[name] = MPSoCSimulator(small_machine).run(
+                    small_epg, SCHEDULERS.get(name)(0)
+                )
+
+            def boom(*args, **kwargs):
+                raise AssertionError("a fast engine ran under the scalar oracle")
+
+            monkeypatch.setattr(native, "kernel", boom)
+            monkeypatch.setattr(simulator_module, "execute_trace", boom)
+            monkeypatch.setattr(simulator_module, "run_plan_quantum", boom)
+            set_fast_cache(False)
+            for name in ("LS-static", "LS", "RRS"):
+                scalar = MPSoCSimulator(small_machine).run(
+                    small_epg, SCHEDULERS.get(name)(0)
+                )
+                assert scalar.makespan_cycles == fast[name].makespan_cycles
+                assert scalar.total_cache == fast[name].total_cache
         finally:
             set_fast_cache(previous)
-        reference = SetAssociativeCache(geometry)
-        assert (hits, misses) == reference.run_trace(lines, None)
-        assert cache.export_state() == reference.export_state()
-
-    def test_memo_toggle(self):
-        previous = set_trace_memo(False)
-        try:
-            geometry = CacheGeometry(256, 2, 32)
-            cache = SetAssociativeCache(geometry)
-            lines = np.arange(100, dtype=np.int64)
-            memo = TraceMemo()
-            execute_trace(cache, lines, None, trace_fingerprint(lines, None), memo)
-            assert len(memo) == 0
-        finally:
-            set_trace_memo(previous)
 
 
 class TestBudgetRows:

@@ -35,7 +35,6 @@ from repro.sim.qplan import (
     compile_quantum_plan,
     make_way_table,
     run_plan_quantum,
-    set_quantum_batch,
 )
 from repro.sim.simulator import MPSoCSimulator
 from repro.sim.trace import ProcessTrace
@@ -296,15 +295,13 @@ def _epg(seed: int) -> ExtendedProcessGraph:
 
 def _fast_and_scalar(run):
     """``run()`` on the fast engines, then on the pure scalar oracle."""
-    set_quantum_batch(True)
-    fast = run()
-    set_quantum_batch(False)
-    previous = set_fast_cache(False)
+    previous = set_fast_cache(True)
     try:
+        fast = run()
+        set_fast_cache(False)
         scalar = run()
     finally:
         set_fast_cache(previous)
-        set_quantum_batch(True)
     return fast, scalar
 
 
@@ -477,9 +474,9 @@ def test_kernel_runs_every_trace_and_quantum(monkeypatch, small_machine):
     monkeypatch.setattr(SetAssociativeCache, "run_budget_rows", boom)
     epg = _epg(11)
     simulator = MPSoCSimulator(small_machine)
-    previous = set_quantum_batch(True)
+    previous = set_fast_cache(True)
     try:
         for name in ("LS-static", "LS", "RRS"):
             simulator.run(epg, SCHEDULERS.get(name)(0))
     finally:
-        set_quantum_batch(previous)
+        set_fast_cache(previous)

@@ -10,11 +10,14 @@ component rebuilt warm.
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 import warnings
 
 import pytest
 
 from repro.api.engine import Engine
+from repro.cache.memo import fast_cache_enabled, scalar_fallback, set_fast_cache
 from repro.campaign.executor import clear_cell_memo, run_campaign
 from repro.campaign.spec import CampaignSpec, MachineVariant, SchedulerSpec
 from repro.campaign.store import ResultStore
@@ -39,6 +42,20 @@ def _spec(schedulers=("RS", "LS"), seeds=(0, 1)):
         schedulers=tuple(SchedulerSpec(s) for s in schedulers),
         seeds=tuple(seeds),
         scale=0.25,
+    )
+
+
+def _batched_rrs_spec(workloads, scale):
+    """RRS on a 32k-cycle quantum: every core runs its quanta through the
+    batched executor (the paper machine's 8k quantum stays under the
+    adaptive window)."""
+    return CampaignSpec(
+        name="downgrade",
+        workloads=tuple(workloads),
+        machines=(MachineVariant("quantum-32k", (("quantum_cycles", 32000),)),),
+        schedulers=(SchedulerSpec("RRS"),),
+        seeds=(0,),
+        scale=scale,
     )
 
 
@@ -197,31 +214,21 @@ class TestGracefulDowngrade:
     ):
         """A cell whose batched executor raises re-runs on the scalar
         oracle: same numbers, plus a downgrade note."""
-        from repro.sim.qplan import set_quantum_batch
-
-        # RRS on the 32k-quantum machine batches (the paper machine's
-        # 8k quantum stays under the adaptive window)
-        spec = CampaignSpec(
-            name="downgrade",
-            workloads=("MxM",),
-            machines=(MachineVariant("quantum-32k", (("quantum_cycles", 32000),)),),
-            schedulers=(SchedulerSpec("RRS"),),
-            seeds=(0,),
-            scale=1.0,
-        )
+        spec = _batched_rrs_spec(("MxM",), scale=1.0)
         clear_cell_memo()
         fault_plan(f"ledger={tmp_path}; error@qplan,times=1")
-        faulty = run_campaign(spec).results[0]
-        assert faulty.downgraded is not None
-        assert "InjectedFaultError" in faulty.downgraded
-
-        configure_fault_plan(None)
-        clear_cell_memo()
-        set_quantum_batch(False)
+        previous = set_fast_cache(True)
         try:
+            faulty = run_campaign(spec).results[0]
+            assert faulty.downgraded is not None
+            assert "InjectedFaultError" in faulty.downgraded
+
+            configure_fault_plan(None)
+            clear_cell_memo()
+            set_fast_cache(False)
             scalar = run_campaign(spec).results[0]
         finally:
-            set_quantum_batch(True)
+            set_fast_cache(previous)
             clear_cell_memo()
         fa = dataclasses.asdict(faulty)
         fb = dataclasses.asdict(scalar)
@@ -246,31 +253,125 @@ class TestGracefulDowngrade:
         assert "downgraded" not in clean.to_dict()
 
     def test_scalar_fallback_restores_engine_state(self):
-        from repro.cache.memo import fast_cache_enabled
-        from repro.sim.qplan import quantum_batch_enabled, scalar_fallback
-
-        before = (fast_cache_enabled(), quantum_batch_enabled())
+        before = fast_cache_enabled()
         with scalar_fallback():
             assert not fast_cache_enabled()
-            assert not quantum_batch_enabled()
-        assert (fast_cache_enabled(), quantum_batch_enabled()) == before
+        assert fast_cache_enabled() == before
+
+    def test_overlapping_fallbacks_stay_per_thread(self):
+        """A enters, B enters, A exits, B exits: each override is its own
+        thread's, so neither leaks to the process or to the other."""
+        steps = {name: threading.Event() for name in ("a_in", "b_in", "a_out")}
+        seen: dict[str, bool] = {}
+
+        def thread_a():
+            with scalar_fallback():
+                steps["a_in"].set()
+                steps["b_in"].wait(10)
+                seen["a_inside"] = fast_cache_enabled()
+            steps["a_out"].set()
+
+        def thread_b():
+            steps["a_in"].wait(10)
+            with scalar_fallback():
+                steps["b_in"].set()
+                steps["a_out"].wait(10)
+                seen["b_after_a_exits"] = fast_cache_enabled()
+            seen["b_after"] = fast_cache_enabled()
+
+        previous = set_fast_cache(True)
+        try:
+            threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+            for thread in threads:
+                thread.start()
+            steps["b_in"].wait(10)
+            seen["main_during"] = fast_cache_enabled()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+            assert seen == {
+                "a_inside": False,
+                "main_during": True,
+                "b_after_a_exits": False,
+                "b_after": True,
+            }
+            assert fast_cache_enabled()
+        finally:
+            set_fast_cache(previous)
+
+    def test_fallback_churn_never_leaks_across_threads(self):
+        """Eight threads entering and leaving the fallback under a tiny
+        switch interval: an observer thread never sees the switch off,
+        no churner sees it on inside its scope, and it ends on."""
+        stop = threading.Event()
+        wrong: list[str] = []
+
+        def churn():
+            for _ in range(300):
+                with scalar_fallback():
+                    if fast_cache_enabled():
+                        wrong.append("on inside a fallback")
+
+        def observe():
+            while not stop.is_set():
+                if not fast_cache_enabled():
+                    wrong.append("off outside every fallback")
+
+        previous = set_fast_cache(True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            observer = threading.Thread(target=observe)
+            observer.start()
+            churners = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in churners:
+                thread.start()
+            for thread in churners:
+                thread.join(30)
+                assert not thread.is_alive()
+            stop.set()
+            observer.join(30)
+            assert not observer.is_alive()
+            assert not wrong
+            assert fast_cache_enabled()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            set_fast_cache(previous)
+
+    def test_concurrent_downgrades_under_threads(self, fault_plan, tmp_path):
+        """Two cells whose batched executor raises at once, on sibling
+        threads: both downgrade, neither is judged organic and
+        quarantined, and the switch is back on afterwards."""
+        spec = _batched_rrs_spec(("MxM", "Shape"), scale=1.0)
+        clear_cell_memo()
+        fault_plan(f"ledger={tmp_path}; error@qplan,times=2")
+        previous = set_fast_cache(True)
+        try:
+            outcome = Engine(
+                jobs=2, policy="threads", keep_going=True
+            ).run_campaign(spec)
+            assert fast_cache_enabled()
+        finally:
+            set_fast_cache(previous)
+            clear_cell_memo()
+        assert not outcome.failures
+        assert len(outcome.results) == 2
+        for result in outcome.results:
+            assert "InjectedFaultError" in (result.downgraded or "")
 
     def test_organic_error_on_scalar_path_still_raises(self, fault_plan, tmp_path):
         """With the fast paths off, there is no oracle to fall back to:
         the error must propagate (no infinite downgrade loops)."""
-        from repro.cache.memo import set_fast_cache
         from repro.errors import InjectedFaultError
-        from repro.sim.qplan import set_quantum_batch
 
         fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*")
-        set_fast_cache(False)
-        set_quantum_batch(False)
+        previous = set_fast_cache(False)
         try:
             with pytest.raises(InjectedFaultError):
                 Engine().run_many(_spec(schedulers=("LS",), seeds=(0,)).expand())
         finally:
-            set_fast_cache(True)
-            set_quantum_batch(True)
+            set_fast_cache(previous)
 
 
 class TestArtefactStability:
