@@ -10,16 +10,28 @@ also win on energy (off-chip traffic dominates, and they cut it).
 from __future__ import annotations
 
 from benchmarks.conftest import save_artifact
-from repro.experiments.runner import SCHEDULER_ORDER, run_comparison
+from repro.api.registries import SCHEDULERS
+from repro.experiments.runner import SCHEDULER_ORDER
+from repro.sim.config import MachineConfig
 from repro.sim.energy import energy_of
+from repro.sim.results import SimulationResult
+from repro.sim.simulator import MPSoCSimulator
 from repro.util.tables import AsciiTable
 from repro.workloads.suite import build_workload_mix
 
 
+def _run_schedulers(epg) -> dict[str, SimulationResult]:
+    """Full simulation results (``energy_of`` needs per-core detail)."""
+    simulator = MPSoCSimulator(MachineConfig.paper_default())
+    return {
+        name: simulator.run(epg, SCHEDULERS.get(name)(0)) for name in SCHEDULER_ORDER
+    }
+
+
 def test_energy(benchmark, artifact_dir):
     epg = build_workload_mix(4)
-    comparison = benchmark.pedantic(
-        run_comparison, args=("|T|=4", epg), rounds=1, iterations=1
+    results = benchmark.pedantic(
+        _run_schedulers, args=(epg,), rounds=1, iterations=1
     )
 
     table = AsciiTable(
@@ -28,7 +40,7 @@ def test_energy(benchmark, artifact_dir):
     )
     energies = {}
     for name in SCHEDULER_ORDER:
-        breakdown = energy_of(comparison.results[name])
+        breakdown = energy_of(results[name])
         energies[name] = breakdown
         table.add_row(
             [

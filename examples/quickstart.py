@@ -40,7 +40,7 @@ def main() -> None:
         print(
             f"  {name:>4}: {seconds * 1e3:7.3f} ms"
             f"  (miss rate {result.miss_rate:.3f},"
-            f" utilisation {result.core_utilization():.2f},"
+            f" utilisation {result.utilization:.2f},"
             f" {baseline / seconds:.2f}x vs RS)"
         )
 

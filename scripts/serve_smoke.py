@@ -35,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.campaign.executor import run_campaign  # noqa: E402
+from repro.api.engine import Engine  # noqa: E402
 from repro.campaign.spec import (  # noqa: E402
     CampaignSpec,
     MachineVariant,
@@ -117,7 +117,7 @@ def main() -> int:
     spec = smoke_spec()
 
     print("== 1/3 in-process baseline ==")
-    baseline = run_campaign(spec)
+    baseline = Engine().run_campaign(spec)
     expected = result_fingerprint(baseline.results)
     print(f"baseline: {len(baseline.results)} cells, fingerprint {expected}")
 

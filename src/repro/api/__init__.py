@@ -79,7 +79,6 @@ __all__ = [
     "register_machine",
     "register_scheduler",
     "register_workload",
-    "run_campaign",
 ]
 
 #: name -> home module, resolved on first attribute access.
@@ -105,7 +104,7 @@ _EXPORTS = {
     "SchedulerSpec": "repro.campaign.spec",
     "WORKLOADS": "repro.api.registries",
     "WorkloadFactory": "repro.api.registries",
-    "group_comparisons": "repro.campaign.compat",
+    "group_comparisons": "repro.experiments.runner",
     "list_arrivals": "repro.api.registries",
     "list_contentions": "repro.api.registries",
     "list_machines": "repro.api.registries",
@@ -116,7 +115,6 @@ _EXPORTS = {
     "register_machine": "repro.api.registries",
     "register_scheduler": "repro.api.registries",
     "register_workload": "repro.api.registries",
-    "run_campaign": "repro.campaign.executor",
 }
 register_worker_state(__name__, "_EXPORTS", note="constant after import")
 
@@ -145,15 +143,15 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.sim.arrivals import ArrivalSpec
     from repro.api.registry import Registry, RegistryEntry
     from repro.api.scenario import Scenario
-    from repro.campaign.compat import group_comparisons
     from repro.campaign.failures import CellFailure
-    from repro.campaign.executor import CampaignOutcome, RunResult, run_campaign
+    from repro.campaign.executor import CampaignOutcome, RunResult
     from repro.campaign.spec import (
         CampaignSpec,
         MachineVariant,
         RunSpec,
         SchedulerSpec,
     )
+    from repro.experiments.runner import group_comparisons
 
 
 def __getattr__(name: str) -> object:

@@ -1,8 +1,7 @@
 """The :class:`Engine` — one execution surface behind every entry point.
 
-The engine owns the cell loop that used to live in three places (the
-example scripts' inline ``MPSoCSimulator.run`` loops, the experiment
-harnesses' ``run_comparison``, and the campaign executor): it takes
+The engine is the only way to run campaign cells: the figure harnesses,
+the CLI and the campaign service all go through it.  It takes
 anything that normalizes to :class:`~repro.campaign.spec.RunSpec` cells
 and runs them under one of three policies —
 
@@ -21,10 +20,10 @@ units of cells to a *lane* — the object that runs a unit and knows how
 to stop it (:class:`_InlineLane`, :class:`_ThreadLane`,
 :class:`_ProcessLane`).
 
-Results are the existing typed records (:class:`RunResult`,
-:class:`CampaignOutcome`, :class:`SchedulerComparison`), so everything
-downstream — rollups, CSV export, figure renderers, resume — is
-unchanged.
+Results are the typed records everything downstream reads:
+:class:`RunResult` per cell, :class:`CampaignOutcome` per campaign
+(:meth:`Engine.run_campaign`, with the store and resume handling), and
+:class:`SchedulerComparison` per workload (:meth:`Engine.compare`).
 """
 
 from __future__ import annotations
@@ -967,18 +966,17 @@ class Engine:
             failures=failures,
         )
 
-    # -- scheduler comparisons (the run_comparison shape) --------------------
+    # -- scheduler comparisons ----------------------------------------------
 
     def compare(
         self, runnable: "Scenario | CampaignSpec | Sequence[RunSpec]"
     ) -> "SchedulerComparison":
         """Run one workload/machine/seed under several schedulers.
 
-        Returns the same :class:`SchedulerComparison` record the figure
-        renderers and CSV exporters consume — the facade replacement for
-        calling :func:`repro.experiments.runner.run_comparison` by hand.
+        Returns the :class:`SchedulerComparison` record the figure
+        renderers and CSV exporters consume.
         """
-        from repro.campaign.compat import group_comparisons
+        from repro.experiments.runner import group_comparisons
 
         runs = _as_run_specs(runnable)
         # group on the full frozen MachineVariant, not just its name, so

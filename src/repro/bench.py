@@ -6,10 +6,11 @@ and the compiled kernel), the fast preemptive driver against the scalar
 one, one figure-7 concurrent mix end to end with the fast engine enabled
 and disabled, a cold/warm multi-job figure-7 campaign against the
 persistent memo store, and the open-system smoke's warm-start behaviour
-— then writes the results as JSON (default ``BENCH_PR12.json``) so the
-performance trajectory is tracked from PR 2 onward.  ``--quick`` shrinks
-every workload to CI-smoke size.  The kernel columns are ``null`` where
-no C compiler can build the kernel.
+— then writes the results as JSON.  The default output,
+``.repro-bench.json``, is untracked, so a bare run never overwrites a
+committed ``BENCH_*.json`` baseline; pass ``--output`` to write one.
+``--quick`` shrinks every workload to CI-smoke size.  The kernel columns
+are ``null`` where no C compiler can build the kernel.
 
 All numbers are wall-clock seconds (best of ``repeats``) or derived
 accesses/second; the JSON also embeds the memo hit statistics of the

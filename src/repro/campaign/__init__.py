@@ -5,30 +5,22 @@ seed) simulations.  This package makes that grid a first-class object:
 
 - :mod:`repro.campaign.spec` — frozen, JSON-serializable specs and their
   cross-product expansion;
-- :mod:`repro.campaign.executor` — inline or multiprocessing execution
-  of the expanded cells, each through the classic ``run_comparison``
-  path;
+- :mod:`repro.campaign.executor` — one cell, one simulation: the
+  :class:`RunResult` record every consumer reads;
 - :mod:`repro.campaign.store` — an append-only JSON-lines result store
   keyed by spec hash, tolerant of crashes, powering ``--resume``;
 - :mod:`repro.campaign.rollup` — speedup/miss-rate/utilization rollups
-  and CSV/JSONL exports;
-- :mod:`repro.campaign.compat` — regrouping results into the
-  ``SchedulerComparison`` shape the figure renderers consume.
+  and CSV/JSONL exports.
 
 Every per-figure harness (`figure6`, `figure7`, `sensitivity`,
 `ablation`) is a thin spec over this engine, and ``python -m repro
-campaign`` exposes arbitrary grids from the shell.  The public front
-door is :mod:`repro.api`: its ``Scenario`` builder normalizes to these
-specs and its ``Engine`` owns the cell loop the executor drives.
+campaign`` exposes arbitrary grids from the shell.  The front door is
+:mod:`repro.api`: its ``Scenario`` builder normalizes to these specs
+and ``Engine(...).run_campaign(spec)`` runs them, with the store and
+resume handling.
 """
 
-from repro.campaign.compat import group_comparisons
-from repro.campaign.executor import (
-    CampaignOutcome,
-    RunResult,
-    execute_run,
-    run_campaign,
-)
+from repro.campaign.executor import CampaignOutcome, RunResult, execute_run
 from repro.campaign.rollup import (
     RollupRow,
     render_rollup,
@@ -46,7 +38,6 @@ from repro.campaign.spec import (
     build_campaign_workload,
     parse_workload_ref,
     resolve_machine_preset,
-    suite_campaign,
     workload_seed_sensitive,
 )
 from repro.campaign.store import ResultStore
@@ -63,14 +54,11 @@ __all__ = [
     "SchedulerSpec",
     "build_campaign_workload",
     "execute_run",
-    "group_comparisons",
     "parse_workload_ref",
     "render_rollup",
     "resolve_machine_preset",
     "results_to_csv",
     "rollup_results",
-    "run_campaign",
-    "suite_campaign",
     "workload_seed_sensitive",
     "write_results_csv",
     "write_results_jsonl",

@@ -1,13 +1,13 @@
-"""Parallel campaign execution.
+"""Campaign cell execution.
 
-Each :class:`~repro.campaign.spec.RunSpec` cell is executed through the
-same :func:`~repro.experiments.runner.run_comparison` path the per-figure
-harnesses use — one fresh machine, EPG, and scheduler per cell — so a
-campaign cell is bit-identical to the equivalent single-figure run.
-Cells are independent by construction, which is what makes the fan-out
-trivial: :class:`repro.api.engine.Engine` runs them inline, on threads
-or on a worker pool, and streams results back into the JSON-lines store
-as they complete; :func:`run_campaign` is the classic front door to it.
+:func:`execute_run` turns one :class:`~repro.campaign.spec.RunSpec`
+cell into one simulation — a fresh machine, EPG and scheduler, run by
+:meth:`~repro.sim.simulator.MPSoCSimulator.run` (or ``run_open`` for a
+cell with an arrival process) — and flattens it into a
+:class:`RunResult`.  Cells are independent by construction, which is
+what makes the fan-out trivial: :class:`repro.api.engine.Engine` runs
+them inline, on threads or on a worker pool, and streams results back
+into the JSON-lines store as they complete.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ if TYPE_CHECKING:
     from repro.sched.base import Scheduler
     from repro.sim.results import OpenSystemResult
 
-from repro.cache.stats import CacheStats
 from repro.campaign.failures import CellFailure
 from repro.campaign.spec import (
     CampaignSpec,
@@ -29,7 +28,6 @@ from repro.campaign.spec import (
     build_campaign_workload,
     workload_seed_sensitive,
 )
-from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 from repro.util.faults import fault_point
 from repro.util.invalidation import register_worker_state
@@ -43,11 +41,8 @@ ProgressFn = Callable[["RunResult", int, int], None]
 class RunResult:
     """Aggregate metrics of one executed cell.
 
-    Deliberately flat and JSON-friendly.  The convenience properties at
-    the bottom make a ``RunResult`` a drop-in for
-    :class:`~repro.sim.results.SimulationResult` wherever the experiment
-    renderers and CSV exporters only need aggregates (seconds, miss rate,
-    cache totals, utilization).
+    Deliberately flat and JSON-friendly: the store, the rollups, the
+    figure renderers and the CSV exporters all read this record.
     """
 
     key: str
@@ -139,17 +134,6 @@ class RunResult:
             ),
         )
 
-    # -- SimulationResult-compatible surface (what renderers/exporters read) --
-
-    @property
-    def total_cache(self) -> CacheStats:
-        """Aggregate hit/miss counters (write/eviction detail not kept)."""
-        return CacheStats(hits=self.hits, misses=self.misses)
-
-    def core_utilization(self) -> float:
-        """Mean fraction of the makespan cores spent busy."""
-        return self.utilization
-
 
 #: Per-process memo of seed-invariant cells: a deterministic scheduler
 #: on a seed-independent workload produces identical results for every
@@ -228,6 +212,7 @@ def _adopt_cached(run: RunSpec, cached: "RunResult") -> "RunResult":
         key=run.cell_key(),
         seed=run.seed,
         scheduler=run.scheduler.effective_label,
+        arrival=run.arrival.effective_label if run.arrival is not None else None,
     )
 
 
@@ -259,11 +244,8 @@ def execute_run(run: RunSpec) -> RunResult:
 
 
 def _execute_cell(run: RunSpec) -> RunResult:
-    # Imported here, not at module level: the experiment harnesses are
-    # themselves thin campaign specs, so the two packages would otherwise
-    # form an import cycle.
     from repro.cache.store import active_memo_store
-    from repro.experiments.runner import run_comparison
+    from repro.sim.simulator import MPSoCSimulator
 
     scheduler = run.scheduler.build(run.seed)
     memo_key = _seedless_cell_key(run, scheduler)
@@ -284,19 +266,14 @@ def _execute_cell(run: RunSpec) -> RunResult:
                 return _adopt_cached(run, cached)
     machine = run.machine.build()
     epg = build_campaign_workload(run.workload, scale=run.scale, seed=run.seed)
+    simulator = MPSoCSimulator(machine)
     open_metrics: dict[str, float] | None = None
     if run.arrival is not None:
-        from repro.sim.simulator import MPSoCSimulator
-
         schedule = run.arrival.build(epg.task_names, run.seed, machine)
-        result = MPSoCSimulator(machine).run_open(epg, scheduler, schedule)
+        result = simulator.run_open(epg, scheduler, schedule)
         open_metrics = _open_metrics(result)
     else:
-        comparison = run_comparison(
-            run.cell_key(), epg, machine=machine, schedulers=[scheduler],
-            seed=run.seed,
-        )
-        result = comparison.results[scheduler.name]
+        result = simulator.run(epg, scheduler)
     makespan = result.makespan_cycles
     run_result = RunResult(
         key=run.cell_key(),
@@ -408,37 +385,3 @@ class CampaignOutcome:
     def downgraded(self) -> int:
         """How many cells fell back from the fast path to the oracle."""
         return sum(1 for result in self.results if result.downgraded is not None)
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    jobs: int = 1,
-    store: ResultStore | str | Path | None = None,
-    resume: bool = False,
-    progress: ProgressFn | None = None,
-    policy: str | None = None,
-    max_retries: int = 0,
-    cell_timeout: float | None = None,
-    keep_going: bool = False,
-    lease_seconds: float | None = None,
-) -> CampaignOutcome:
-    """Expand and execute a campaign: the classic front door.
-
-    Builds an :class:`~repro.api.engine.Engine` from these knobs and
-    runs :meth:`~repro.api.engine.Engine.run_campaign`, which owns the
-    store/resume loop; see the engine for what each knob does.
-    """
-    # Imported here because the api package sits above the campaign layer.
-    from repro.api.engine import Engine
-
-    return Engine(
-        jobs=jobs,
-        policy=policy,
-        store=store,
-        resume=resume,
-        progress=progress,
-        max_retries=max_retries,
-        cell_timeout=cell_timeout,
-        keep_going=keep_going,
-        lease_seconds=lease_seconds,
-    ).run_campaign(spec)

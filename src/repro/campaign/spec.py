@@ -8,9 +8,8 @@ to JSON (for spec files), and pickled (for the multiprocessing executor)
 without ever touching a simulator.
 
 ``CampaignSpec.expand()`` flattens the product into :class:`RunSpec`
-cells; :mod:`repro.campaign.executor` turns each cell into one simulation
-through the same :func:`~repro.experiments.runner.run_comparison` path
-the per-figure harnesses always used.
+cells; :mod:`repro.campaign.executor` turns each cell into one
+simulation, and :class:`~repro.api.engine.Engine` runs the cells.
 
 Workloads, schedulers, and machine presets resolve through the open
 registries in :mod:`repro.api.registries`.
@@ -22,7 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.api.registries import MACHINES, SCHEDULERS, WORKLOADS, WorkloadFactory
 from repro.errors import CampaignError, UnknownEntryError
@@ -34,7 +33,6 @@ from repro.sim.config import MachineConfig
 from repro.util.invalidation import register_worker_state
 from repro.util.memo import BoundedDict
 from repro.util.rng import derive_seed
-from repro.workloads.suite import workload_names
 
 
 def _canonical(obj: object) -> str:
@@ -376,8 +374,8 @@ class RunSpec:
         """A per-cell child seed for any auxiliary randomness.
 
         The scheduler itself receives the cell's ``seed`` directly (so a
-        one-cell campaign reproduces ``run_comparison`` bit for bit); use
-        this for extra streams that must decorrelate across cells.
+        one-cell campaign reproduces ``MPSoCSimulator.run`` bit for bit);
+        use this for extra streams that must decorrelate across cells.
         """
         return derive_seed(
             self.seed,
@@ -535,25 +533,3 @@ class CampaignSpec:
         if not isinstance(data, Mapping):
             raise CampaignError(f"campaign spec {path} must be a JSON object")
         return cls.from_dict(data)
-
-
-def suite_campaign(
-    seeds: Sequence[int] = (0, 1),
-    schedulers: Sequence[SchedulerSpec] = DEFAULT_SCHEDULERS,
-    machines: Sequence[MachineVariant] = (MachineVariant(),),
-    scale: float = 1.0,
-    name: str = "suite",
-) -> CampaignSpec:
-    """The default grid: every Table-1 application x the four schedulers.
-
-    With the default two seeds this is a 6 x 4 x 1 x 2 = 48-cell grid —
-    the paper's Figure-6 axis rerun with seed replication.
-    """
-    return CampaignSpec(
-        workloads=tuple(workload_names()),
-        machines=tuple(machines),
-        schedulers=tuple(schedulers),
-        seeds=tuple(seeds),
-        scale=scale,
-        name=name,
-    )

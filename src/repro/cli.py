@@ -190,8 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CI-smoke sizes (seconds, not minutes)",
     )
     bench.add_argument(
-        "--output", type=str, default="BENCH_PR12.json",
-        help="where to write the JSON results",
+        "--output", type=str, default=".repro-bench.json",
+        help="where to write the JSON results (default: the untracked "
+        ".repro-bench.json; committed baselines are BENCH_*.json)",
     )
 
     camp = sub.add_parser(
@@ -499,7 +500,8 @@ def _report_failures(outcome, quiet: bool) -> int:
 
 
 def _run_campaign_command(args: argparse.Namespace) -> int:
-    from repro.campaign.executor import RunResult, run_campaign
+    from repro.api.engine import Engine
+    from repro.campaign.executor import RunResult
     from repro.campaign.rollup import (
         render_rollup,
         write_results_csv,
@@ -530,8 +532,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
     )
     try:
         with _graceful_signals():
-            outcome = run_campaign(
-                spec,
+            outcome = Engine(
                 jobs=args.jobs,
                 store=store,
                 resume=args.resume,
@@ -539,7 +540,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
                 max_retries=args.max_retries,
                 cell_timeout=args.cell_timeout,
                 keep_going=args.keep_going,
-            )
+            ).run_campaign(spec)
     except KeyboardInterrupt:
         return _report_interrupt("campaign", spec.spec_hash(), store.path)
     if outcome.skipped:

@@ -26,11 +26,7 @@ are thin declarative specs executed through :mod:`repro.campaign`, which
 also exposes arbitrary grids via ``python -m repro campaign``.
 """
 
-from repro.experiments.runner import (
-    SchedulerComparison,
-    default_schedulers,
-    run_comparison,
-)
+from repro.experiments.runner import SchedulerComparison
 from repro.experiments.figure2 import (
     figure2_mappings,
     figure2_sharing_matrix,
@@ -45,7 +41,6 @@ from repro.experiments.open_system import run_open_system, render_open_system
 
 __all__ = [
     "SchedulerComparison",
-    "default_schedulers",
     "figure2_mappings",
     "figure2_sharing_matrix",
     "render_ablation",
@@ -57,7 +52,6 @@ __all__ = [
     "render_table1",
     "render_table2",
     "run_ablation",
-    "run_comparison",
     "run_figure6",
     "run_figure7",
     "run_open_system",

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import SCHEDULER_ORDER, SchedulerComparison
+from repro.experiments.runner import SchedulerComparison
 from repro.util.csvio import rows_to_csv, write_csv_text
 
 #: Columns written for each (workload, scheduler) pair.
@@ -30,14 +30,11 @@ CSV_COLUMNS = (
 def comparisons_to_rows(
     comparisons: Sequence[SchedulerComparison],
 ) -> list[dict[str, object]]:
-    """Flatten comparisons into one dict per (workload, scheduler)."""
+    """One dict per (workload, scheduler), in ``ordered_names()`` order."""
     rows: list[dict[str, object]] = []
     for comparison in comparisons:
-        for name in SCHEDULER_ORDER:
-            if name not in comparison.results:
-                continue
+        for name in comparison.ordered_names():
             result = comparison.results[name]
-            total = result.total_cache
             rows.append(
                 {
                     "workload": comparison.label,
@@ -45,9 +42,9 @@ def comparisons_to_rows(
                     "seconds": result.seconds,
                     "makespan_cycles": result.makespan_cycles,
                     "miss_rate": result.miss_rate,
-                    "hits": total.hits,
-                    "misses": total.misses,
-                    "utilization": result.core_utilization(),
+                    "hits": result.hits,
+                    "misses": result.misses,
+                    "utilization": result.utilization,
                 }
             )
     return rows

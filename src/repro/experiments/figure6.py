@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from repro.api.engine import Engine
 from repro.api.scenario import Scenario
-from repro.campaign.compat import group_comparisons
 from repro.campaign.spec import CampaignSpec
-from repro.experiments.runner import SCHEDULER_ORDER, SchedulerComparison
+from repro.experiments.runner import (
+    SCHEDULER_ORDER,
+    SchedulerComparison,
+    group_comparisons,
+)
 from repro.sim.config import MachineConfig
 from repro.util.tables import AsciiBarChart, AsciiTable
 from repro.workloads.suite import workload_names

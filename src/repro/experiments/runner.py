@@ -1,60 +1,38 @@
-"""Common experiment infrastructure (the pre-facade comparison path).
+"""The figure renderers' record: one workload under several schedulers.
 
-Every figure in the evaluation compares the same four schedulers over
-some workload; :func:`run_comparison` runs them over one EPG and returns
-a :class:`SchedulerComparison` with the per-scheduler results.  It
-remains the in-memory primitive the campaign executor drives per cell;
-new code comparing schedulers should go through
-:meth:`repro.api.engine.Engine.compare`, which returns the same record
-from a declarative :class:`~repro.api.scenario.Scenario`.
+Every figure in the evaluation compares schedulers over some workload.
+The harnesses run their grids through :class:`~repro.api.engine.Engine`
+and regroup the flat :class:`~repro.campaign.executor.RunResult` list
+with :func:`group_comparisons` into one :class:`SchedulerComparison`
+per group, which the renderers and :mod:`repro.experiments.export`
+read.  :meth:`~repro.api.engine.Engine.compare` returns the same record
+for a single workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.errors import ExperimentError
-from repro.procgraph.graph import ProcessGraph
-from repro.sched.base import Scheduler
-from repro.sim.config import MachineConfig
-from repro.sim.results import SimulationResult
-from repro.sim.simulator import MPSoCSimulator
+from repro.campaign.spec import DEFAULT_SCHEDULERS
+from repro.errors import CampaignError, ExperimentError
+
+if TYPE_CHECKING:
+    from repro.campaign.executor import RunResult
 
 #: Scheduler order used in every figure (matches the paper's legends).
-SCHEDULER_ORDER = ("RS", "RRS", "LS", "LSM")
+SCHEDULER_ORDER = tuple(spec.name for spec in DEFAULT_SCHEDULERS)
 
-
-def default_schedulers(seed: int = 0) -> list[Scheduler]:
-    """The paper's four strategies, in legend order.
-
-    Built through the :data:`~repro.api.registries.SCHEDULERS` registry,
-    so an ``overwrite=True`` re-registration of a builtin name reaches
-    this legacy path too.
-    """
-    from repro.api.registries import SCHEDULERS
-
-    return [SCHEDULERS.get(name)(seed) for name in SCHEDULER_ORDER]
+#: Maps a result to the comparison it belongs to (default: its workload).
+GroupFn = Callable[["RunResult"], str]
 
 
 @dataclass
 class SchedulerComparison:
-    """Results of one workload under several schedulers.
-
-    ``results`` values are aggregate-compatible result records: either a
-    full :class:`~repro.sim.results.SimulationResult` (when produced by
-    :func:`run_comparison` directly) or a campaign
-    :class:`~repro.campaign.executor.RunResult` (when regrouped from a
-    campaign by :func:`repro.campaign.compat.group_comparisons`).  Both
-    provide ``seconds``, ``miss_rate``, ``makespan_cycles``,
-    ``total_cache``, and ``core_utilization()`` — the surface the figure
-    renderers and CSV export consume.  Per-process/per-core detail
-    (``processes``, ``cores``, write/eviction stats) exists only on
-    ``SimulationResult``; consumers needing it should run
-    ``run_comparison`` themselves rather than a figure harness.
-    """
+    """Results of one workload under several schedulers, keyed by scheduler label."""
 
     label: str
-    results: dict[str, SimulationResult] = field(default_factory=dict)
+    results: dict[str, RunResult] = field(default_factory=dict)
 
     def seconds(self, scheduler_name: str) -> float:
         """Completion time of one scheduler."""
@@ -72,13 +50,14 @@ class SchedulerComparison:
             )
         return self.results[scheduler_name].miss_rate
 
+    def ordered_names(self) -> list[str]:
+        """Schedulers in legend order, then any others in insertion order."""
+        legend = [name for name in SCHEDULER_ORDER if name in self.results]
+        return legend + [name for name in self.results if name not in SCHEDULER_ORDER]
+
     def ordered_seconds(self) -> list[tuple[str, float]]:
-        """(scheduler, seconds) pairs in legend order."""
-        return [
-            (name, self.seconds(name))
-            for name in SCHEDULER_ORDER
-            if name in self.results
-        ]
+        """(scheduler, seconds) pairs in :meth:`ordered_names` order."""
+        return [(name, self.seconds(name)) for name in self.ordered_names()]
 
     def speedup(self, baseline: str, improved: str) -> float:
         """``time(baseline) / time(improved)``."""
@@ -88,23 +67,29 @@ class SchedulerComparison:
         return self.seconds(baseline) / improved_time
 
 
-def run_comparison(
-    label: str,
-    epg: ProcessGraph,
-    machine: MachineConfig | None = None,
-    schedulers: list[Scheduler] | None = None,
-    seed: int = 0,
-) -> SchedulerComparison:
-    """Run one EPG under each scheduler on one machine."""
-    machine = machine if machine is not None else MachineConfig.paper_default()
-    schedulers = schedulers if schedulers is not None else default_schedulers(seed)
-    simulator = MPSoCSimulator(machine)
-    comparison = SchedulerComparison(label=label)
-    for scheduler in schedulers:
-        result = simulator.run(epg, scheduler)
-        if scheduler.name in comparison.results:
-            raise ExperimentError(
-                f"duplicate scheduler name {scheduler.name!r} in comparison"
+def group_comparisons(
+    results: Sequence[RunResult],
+    group: GroupFn | None = None,
+    label: Callable[[str], str] | None = None,
+) -> list[SchedulerComparison]:
+    """Regroup flat results into one comparison per group key.
+
+    Groups appear in first-seen order (which, for an expanded campaign,
+    is declaration order).  ``label`` optionally rewrites the group key
+    into the comparison's display label (e.g. ``"mix:3"`` -> ``"|T|=3"``).
+    """
+    group = group if group is not None else (lambda result: result.workload)
+    comparisons: dict[str, SchedulerComparison] = {}
+    for result in results:
+        key = group(result)
+        comparison = comparisons.get(key)
+        if comparison is None:
+            display = label(key) if label is not None else key
+            comparison = SchedulerComparison(label=display)
+            comparisons[key] = comparison
+        if result.scheduler in comparison.results:
+            raise CampaignError(
+                f"duplicate scheduler {result.scheduler!r} in group {key!r}"
             )
-        comparison.results[scheduler.name] = result
-    return comparison
+        comparison.results[result.scheduler] = result
+    return list(comparisons.values())

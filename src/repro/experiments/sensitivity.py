@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 from repro.api.engine import Engine
 from repro.api.scenario import Scenario
-from repro.campaign.compat import group_comparisons
 from repro.campaign.spec import CampaignSpec, MachineVariant
 from repro.errors import ExperimentError
-from repro.experiments.runner import SchedulerComparison
+from repro.experiments.runner import SchedulerComparison, group_comparisons
 from repro.util.tables import AsciiTable
 from repro.util.units import KIB
 

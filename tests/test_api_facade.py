@@ -16,7 +16,7 @@ from repro.api import (
     register_scheduler,
     register_workload,
 )
-from repro.campaign.executor import clear_cell_memo, execute_run, run_campaign
+from repro.campaign.executor import clear_cell_memo, execute_run
 from repro.campaign.spec import (
     DEFAULT_SCHEDULERS,
     CampaignSpec,
@@ -241,21 +241,6 @@ class TestEngine:
         with pytest.raises(CampaignError, match="execution policy"):
             Engine(policy="carrier-pigeon")
 
-    def test_run_campaign_equals_executor_run_campaign(self, tmp_path):
-        scenario = (
-            Scenario()
-            .workload("MxM")
-            .machine(TINY)
-            .scheduler("RS", "LS")
-            .scale(0.25)
-            .name("engine-parity")
-        )
-        facade = Engine().run_campaign(scenario)
-        classic = run_campaign(scenario.to_campaign())
-        assert [r.to_dict() for r in facade.results] == [
-            r.to_dict() for r in classic.results
-        ]
-
 
 def _toy_task(name: str, n: int = 36, width: int = 9) -> Task:
     """A minimal single-phase task for plugin tests."""
@@ -354,14 +339,3 @@ class TestPlugins:
                 return _toy_task("Fam")
 
         assert "test-fam" not in WORKLOADS
-
-
-class TestDeprecationShims:
-    def test_run_comparison_still_works(self):
-        # the pre-facade comparison primitive stays supported
-        from repro.campaign.spec import build_campaign_workload
-        from repro.experiments.runner import run_comparison
-
-        epg = build_campaign_workload("MxM", scale=0.25)
-        comparison = run_comparison("MxM", epg, machine=TINY.build())
-        assert set(comparison.results) == {"RS", "RRS", "LS", "LSM"}

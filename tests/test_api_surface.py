@@ -48,7 +48,6 @@ EXPECTED_API_SURFACE = sorted(
         "register_machine",
         "register_scheduler",
         "register_workload",
-        "run_campaign",
     ]
 )
 

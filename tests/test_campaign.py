@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from repro.api.engine import Engine
 from repro.api.registries import MACHINES
-from repro.campaign.compat import group_comparisons
-from repro.campaign.executor import RunResult, execute_run, run_campaign
+from repro.campaign.executor import RunResult, execute_run
 from repro.campaign.rollup import (
     CSV_COLUMNS,
     render_rollup,
@@ -25,10 +25,10 @@ from repro.campaign.spec import (
     build_campaign_workload,
     parse_workload_ref,
     resolve_machine_preset,
-    suite_campaign,
 )
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
+from repro.experiments.runner import group_comparisons
 from repro.sim.config import MachineConfig
 from repro.util.units import KIB
 
@@ -154,8 +154,12 @@ class TestExpansion:
         runs = spec.expand()
         assert len(runs) == spec.num_cells == 3 * 2 * 4 * 3
 
-    def test_default_suite_campaign_is_48_cells(self):
-        assert suite_campaign().num_cells == 48
+    def test_default_cli_campaign_is_48_cells(self):
+        from repro.cli import _build_parser, _campaign_spec_from_args
+
+        spec = _campaign_spec_from_args(_build_parser().parse_args(["campaign"]))
+        assert spec.name == "suite"
+        assert spec.num_cells == 48
 
     def test_expansion_deterministic(self):
         spec = tiny_campaign(seeds=(0, 1))
@@ -219,46 +223,52 @@ class TestSpecHash:
 
 
 class TestExecutor:
-    def test_single_cell_matches_run_comparison(self):
-        from repro.experiments.runner import run_comparison
+    def test_single_cell_matches_simulator_run(self):
+        from repro.sched.random_sched import RandomScheduler
+        from repro.sim.simulator import MPSoCSimulator
         from repro.workloads.suite import build_task
         from repro.procgraph.graph import ExtendedProcessGraph
 
         run = tiny_campaign().expand()[0]  # MxM / tiny / RS / seed 0
         result = execute_run(run)
         epg = ExtendedProcessGraph.from_tasks([build_task("MxM", scale=0.25)])
-        expected = run_comparison("MxM", epg, machine=TINY.build(), seed=0)
-        assert result.seconds == expected.seconds("RS")
-        assert result.miss_rate == expected.miss_rate("RS")
+        expected = MPSoCSimulator(TINY.build()).run(epg, RandomScheduler(seed=0))
+        assert result.seconds == expected.seconds
+        assert result.miss_rate == expected.miss_rate
+        assert (result.hits, result.misses) == (
+            expected.total_cache.hits,
+            expected.total_cache.misses,
+        )
+        assert result.utilization == expected.core_utilization()
 
     def test_run_campaign_deterministic(self):
         spec = tiny_campaign(seeds=(0, 1))
-        a = run_campaign(spec).results
-        b = run_campaign(spec).results
+        a = Engine().run_campaign(spec).results
+        b = Engine().run_campaign(spec).results
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
     def test_parallel_matches_serial(self):
         spec = tiny_campaign(seeds=(0, 1))
-        serial = run_campaign(spec, jobs=1).results
-        parallel = run_campaign(spec, jobs=2).results
+        serial = Engine(jobs=1).run_campaign(spec).results
+        parallel = Engine(jobs=2).run_campaign(spec).results
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
     def test_results_in_expansion_order(self):
         spec = tiny_campaign(seeds=(0, 1))
-        outcome = run_campaign(spec)
+        outcome = Engine().run_campaign(spec)
         assert [r.key for r in outcome.results] == [
             run.cell_key() for run in spec.expand()
         ]
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(CampaignError):
-            run_campaign(tiny_campaign(), jobs=0)
+            Engine(jobs=0).run_campaign(tiny_campaign())
 
 
 class TestStoreAndResume:
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
-        outcome = run_campaign(tiny_campaign(), store=store)
+        outcome = Engine(store=store).run_campaign(tiny_campaign())
         loaded = store.load()
         assert set(loaded) == {r.key for r in outcome.results}
         assert loaded[outcome.results[0].key].to_dict() == outcome.results[0].to_dict()
@@ -266,9 +276,9 @@ class TestStoreAndResume:
     def test_resume_skips_completed(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         spec = tiny_campaign(seeds=(0, 1))
-        first = run_campaign(spec, store=store)
+        first = Engine(store=store).run_campaign(spec)
         assert (first.executed, first.skipped) == (4, 0)
-        second = run_campaign(spec, store=store, resume=True)
+        second = Engine(store=store, resume=True).run_campaign(spec)
         assert (second.executed, second.skipped) == (0, 4)
         assert [r.to_dict() for r in second.results] == [
             r.to_dict() for r in first.results
@@ -277,13 +287,13 @@ class TestStoreAndResume:
     def test_resume_after_partial_failure(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         spec = tiny_campaign(seeds=(0, 1))
-        full = run_campaign(spec, store=store)
+        full = Engine(store=store).run_campaign(spec)
         # simulate a crash: drop the last complete row, leave a torn write
         lines = store.path.read_text().splitlines()
         store.path.write_text(
             "\n".join(lines[:2]) + '\n{"key": "torn-mid-wr'
         )
-        resumed = run_campaign(spec, store=store, resume=True)
+        resumed = Engine(store=store, resume=True).run_campaign(spec)
         assert (resumed.executed, resumed.skipped) == (2, 2)
         assert [r.to_dict() for r in resumed.results] == [
             r.to_dict() for r in full.results
@@ -294,25 +304,25 @@ class TestStoreAndResume:
     def test_stale_keys_ignored_on_resume(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         spec = tiny_campaign()
-        run_campaign(spec, store=store)
+        Engine(store=store).run_campaign(spec)
         other = tiny_campaign(workloads=("Radar",))
-        outcome = run_campaign(other, store=store, resume=True)
+        outcome = Engine(store=store, resume=True).run_campaign(other)
         assert outcome.skipped == 0
         assert outcome.executed == other.num_cells
 
     def test_fresh_run_truncates_store(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         spec = tiny_campaign()
-        run_campaign(spec, store=store)
-        run_campaign(spec, store=store)  # no resume: starts over
+        Engine(store=store).run_campaign(spec)
+        Engine(store=store).run_campaign(spec)  # no resume: starts over
         assert len(store.path.read_text().splitlines()) == spec.num_cells
 
     def test_fresh_run_backs_up_previous_results(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         spec = tiny_campaign()
-        run_campaign(spec, store=store)
+        Engine(store=store).run_campaign(spec)
         original = store.path.read_text()
-        run_campaign(spec, store=store)  # forgot --resume: old results survive
+        Engine(store=store).run_campaign(spec)  # forgot --resume: old results survive
         assert (tmp_path / "r.jsonl.bak").read_text() == original
 
 
@@ -322,7 +332,7 @@ class TestRollupAndExports:
         spec = tiny_campaign(
             schedulers=DEFAULT_SCHEDULERS, seeds=(0, 1), name="rollup"
         )
-        return run_campaign(spec).results
+        return Engine().run_campaign(spec).results
 
     def test_rollup_speedups_vs_baselines(self, results):
         rows = {row.scheduler: row for row in rollup_results(results)}
@@ -357,7 +367,7 @@ class TestRollupAndExports:
         comparisons = group_comparisons(seed0)
         assert [c.label for c in comparisons] == ["MxM"]
         assert set(comparisons[0].results) == {"RS", "RRS", "LS", "LSM"}
-        # a second seed collides per (group, scheduler): the bridge is for
+        # a second seed collides per (group, scheduler): grouping is for
         # single-seed figure grids and must refuse ambiguous input
         with pytest.raises(CampaignError):
             group_comparisons(results)

@@ -125,7 +125,7 @@ class TestGracefulInterrupt:
         import signal as signal_module
         import time
 
-        import repro.campaign.executor as executor
+        from repro.api.engine import Engine
 
         def run_then_hang(*args, **kwargs):
             # Deliver the signal to ourselves mid-"campaign"; the CLI's
@@ -134,7 +134,7 @@ class TestGracefulInterrupt:
             time.sleep(30)  # interrupted immediately by the handler
             raise AssertionError("signal was not delivered")
 
-        monkeypatch.setattr(executor, "run_campaign", run_then_hang)
+        monkeypatch.setattr(Engine, "run_campaign", run_then_hang)
         assert main(SMALL_ARGS) == 130
         out = capsys.readouterr().out
         assert "interrupted: completed cells are flushed" in out
@@ -148,27 +148,28 @@ class TestGracefulInterrupt:
         import os
         import signal as signal_module
 
-        import repro.campaign.executor as executor
+        from repro.api.engine import Engine
 
-        real_run_campaign = executor.run_campaign
+        real_run_campaign = Engine.run_campaign
         calls = {"n": 0}
 
-        def interrupt_on_progress(spec, **kwargs):
-            inner_progress = kwargs.pop("progress", None)
+        def interrupt_on_progress(engine, spec):
+            inner_progress = engine.progress
 
-            def progress(done, total, result):
+            def progress(result, done, total):
                 if inner_progress is not None:
-                    inner_progress(done, total, result)
+                    inner_progress(result, done, total)
                 calls["n"] += 1
                 os.kill(os.getpid(), signal_module.SIGTERM)
 
-            return real_run_campaign(spec, progress=progress, **kwargs)
+            engine.progress = progress
+            return real_run_campaign(engine, spec)
 
-        monkeypatch.setattr(executor, "run_campaign", interrupt_on_progress)
+        monkeypatch.setattr(Engine, "run_campaign", interrupt_on_progress)
         assert main(SMALL_ARGS) == 130
         assert calls["n"] >= 1
         capsys.readouterr()
-        monkeypatch.setattr(executor, "run_campaign", real_run_campaign)
+        monkeypatch.setattr(Engine, "run_campaign", real_run_campaign)
         assert main(SMALL_ARGS + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "Campaign rollup" in out

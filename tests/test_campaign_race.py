@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 
-from repro.campaign.executor import run_campaign
+from repro.api.engine import Engine
 from repro.campaign.spec import CampaignSpec, MachineVariant, SchedulerSpec
 from repro.campaign.store import ResultStore
 from repro.serve.service import result_fingerprint
@@ -33,13 +33,9 @@ def _resumer(spec_data: dict, store_path: str, barrier) -> None:
     """One racing resumer (module-level: spawned as a child process)."""
     spec = CampaignSpec.from_dict(spec_data)
     barrier.wait()  # maximize overlap between the racers
-    outcome = run_campaign(
-        spec,
-        jobs=1,
-        store=ResultStore(store_path),
-        resume=True,
-        keep_going=True,
-    )
+    outcome = Engine(
+        jobs=1, store=ResultStore(store_path), resume=True, keep_going=True
+    ).run_campaign(spec)
     if outcome.failures:  # surface as a nonzero exit the parent asserts on
         raise SystemExit(7)
 
@@ -66,7 +62,7 @@ class TestConcurrentResume:
         expected_keys = {run.cell_key() for run in spec.expand()}
         assert set(results) == expected_keys  # no lost, no duplicate cells
 
-        baseline = run_campaign(spec)
+        baseline = Engine().run_campaign(spec)
         assert result_fingerprint(list(results.values())) == (
             result_fingerprint(baseline.results)
         )

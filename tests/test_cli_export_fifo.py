@@ -14,7 +14,7 @@ from repro.experiments.export import (
     comparisons_to_rows,
     write_csv,
 )
-from repro.experiments.runner import run_comparison
+from repro.api import Engine, Scenario
 from repro.cli import main
 from repro.sched.fifo import FifoScheduler
 from repro.sched.random_sched import RandomScheduler
@@ -42,9 +42,11 @@ class TestFifoScheduler:
 
 
 class TestCsvExport:
-    @pytest.fixture
-    def comparison(self, small_epg, small_machine):
-        return run_comparison("w", small_epg, machine=small_machine)
+    @pytest.fixture(scope="class")
+    def comparison(self):
+        return Engine().compare(
+            Scenario().workload("MxM").machine("cores-4").scale(0.25)
+        )
 
     def test_rows_cover_all_schedulers(self, comparison):
         rows = comparisons_to_rows([comparison])
@@ -56,7 +58,8 @@ class TestCsvExport:
         text = comparisons_to_csv([comparison])
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == 4
-        assert parsed[0]["workload"] == "w"
+        assert parsed[0]["workload"] == "MxM"
+        assert [row["scheduler"] for row in parsed] == ["RS", "RRS", "LS", "LSM"]
         assert float(parsed[0]["seconds"]) > 0
 
     def test_write_csv(self, comparison, tmp_path):
@@ -96,3 +99,14 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["nope"])
+
+    def test_bench_default_output_is_untracked(self):
+        # A bare `repro bench` must not overwrite a committed baseline.
+        from pathlib import Path
+
+        from repro.cli import _build_parser
+
+        output = _build_parser().parse_args(["bench"]).output
+        assert not output.startswith("BENCH_")
+        gitignore = Path(__file__).resolve().parents[1] / ".gitignore"
+        assert output in gitignore.read_text().splitlines()

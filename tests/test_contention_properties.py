@@ -383,24 +383,25 @@ class TestDeterminism:
         )
 
     def test_rerun_and_pool_agree(self):
-        from repro.campaign.executor import clear_cell_memo, run_campaign
+        from repro.api.engine import Engine
+        from repro.campaign.executor import clear_cell_memo
 
         spec = self._spec()
         clear_cell_memo()
-        inline = run_campaign(spec, jobs=1)
+        inline = Engine(jobs=1).run_campaign(spec)
         clear_cell_memo()
-        again = run_campaign(spec, jobs=1)
-        pooled = run_campaign(spec, jobs=2, policy="threads")
+        again = Engine(jobs=1).run_campaign(spec)
+        pooled = Engine(jobs=2, policy="threads").run_campaign(spec)
         assert self._key(inline) == self._key(again) == self._key(pooled)
         assert all(r.queue_delay_cycles is not None for r in inline.results)
 
     def test_store_resume_round_trip(self, tmp_path):
-        from repro.campaign.executor import run_campaign
+        from repro.api.engine import Engine
 
         spec = self._spec()
         store = tmp_path / "results.jsonl"
-        first = run_campaign(spec, store=store)
-        resumed = run_campaign(spec, store=store, resume=True)
+        first = Engine(store=store).run_campaign(spec)
+        resumed = Engine(store=store, resume=True).run_campaign(spec)
         assert self._key(first) == self._key(resumed)
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.api.engine import BACKOFF_BASE, BACKOFF_CAP, Engine, _backoff_delay
-from repro.campaign.executor import run_campaign
 from repro.campaign.failures import CellFailure, classify_failure
 from repro.campaign.rollup import render_failures, render_rollup, results_to_csv
 from repro.campaign.spec import MachineVariant, RunSpec, SchedulerSpec
@@ -205,7 +204,7 @@ class TestFailureRecords:
     def test_store_quarantine_lines_do_not_load_as_results(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         spec = _spec()
-        outcome = run_campaign(spec)  # no store: nothing persisted yet
+        outcome = Engine().run_campaign(spec)  # no store: nothing persisted yet
         failure = CellFailure(
             key=outcome.results[0].key,
             workload="MxM",
@@ -234,7 +233,7 @@ class TestFailureRecords:
         fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*")
         store = ResultStore(tmp_path / "campaign.jsonl")
         spec = _spec()
-        outcome = run_campaign(spec, store=store, keep_going=True)
+        outcome = Engine(store=store, keep_going=True).run_campaign(spec)
         assert len(outcome.failures) == 2
         assert outcome.total == spec.num_cells
         assert outcome.executed == spec.num_cells - 2
@@ -244,7 +243,7 @@ class TestFailureRecords:
         # repair pass: faults cleared, --resume re-attempts only the
         # quarantined cells and the store converges to fully complete
         fault_plan(None)
-        repaired = run_campaign(spec, store=store, resume=True)
+        repaired = Engine(store=store, resume=True).run_campaign(spec)
         assert repaired.skipped == spec.num_cells - 2
         assert len(repaired.results) == spec.num_cells
         assert not repaired.failures
@@ -254,7 +253,7 @@ class TestFailureRecords:
         self, fault_plan, tmp_path
     ):
         fault_plan(f"ledger={tmp_path}; error@cell:*|LS|*")
-        outcome = run_campaign(_spec(), keep_going=True)
+        outcome = Engine(keep_going=True).run_campaign(_spec())
         table = render_rollup(outcome.results)
         assert "LS" not in table  # quarantined group absent, table renders
         csv_text = results_to_csv(outcome.results)

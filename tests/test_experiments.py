@@ -14,11 +14,10 @@ from repro.experiments.figure2 import (
 )
 from repro.experiments.figure6 import render_figure6, run_figure6
 from repro.experiments.figure7 import render_figure7, run_figure7
-from repro.experiments.runner import (
-    SCHEDULER_ORDER,
-    default_schedulers,
-    run_comparison,
-)
+from repro.api import Engine, Scenario
+from repro.campaign.spec import DEFAULT_SCHEDULERS
+from repro.experiments.export import comparisons_to_rows
+from repro.experiments.runner import SCHEDULER_ORDER
 from repro.experiments.sensitivity import render_sensitivity, run_sensitivity
 from repro.experiments.tables import render_table1, render_table2
 from repro.sim.config import MachineConfig
@@ -78,28 +77,48 @@ class TestFigure2Exact:
         assert "Figure 2(c)" in rendered
 
 
-class TestRunner:
-    def test_default_scheduler_order(self):
-        names = [s.name for s in default_schedulers()]
-        assert names == list(SCHEDULER_ORDER)
+def _small_scenario() -> Scenario:
+    return (
+        Scenario().workload("MxM").machine(SMALL_MACHINE, name="small").scale(SCALE)
+    )
 
-    def test_comparison_records_all(self, small_epg):
-        comparison = run_comparison("x", small_epg, machine=SMALL_MACHINE)
+
+class TestRunner:
+    @pytest.fixture(scope="class")
+    def comparison(self):
+        return Engine().compare(_small_scenario())
+
+    def test_default_scheduler_order(self, comparison):
+        assert SCHEDULER_ORDER == tuple(s.name for s in DEFAULT_SCHEDULERS)
+        assert comparison.ordered_names() == list(SCHEDULER_ORDER)
+
+    def test_comparison_records_all(self, comparison):
+        assert comparison.label == "MxM"
         assert set(comparison.results) == set(SCHEDULER_ORDER)
         for name in SCHEDULER_ORDER:
             assert comparison.seconds(name) > 0
             assert 0 <= comparison.miss_rate(name) <= 1
 
-    def test_speedup(self, small_epg):
-        comparison = run_comparison("x", small_epg, machine=SMALL_MACHINE)
+    def test_speedup(self, comparison):
         assert comparison.speedup("RS", "RS") == pytest.approx(1.0)
 
-    def test_unknown_scheduler_rejected(self, small_epg):
+    def test_unknown_scheduler_rejected(self, comparison):
         from repro.errors import ExperimentError
 
-        comparison = run_comparison("x", small_epg, machine=SMALL_MACHINE)
         with pytest.raises(ExperimentError):
             comparison.seconds("nope")
+
+    def test_schedulers_outside_the_legend_are_kept(self):
+        # Legend order first, then the rest in the order they were added.
+        comparison = Engine().compare(
+            _small_scenario().scheduler("FCFS", "LS", "ETF")
+        )
+        assert comparison.ordered_names() == ["LS", "FCFS", "ETF"]
+        assert [name for name, _ in comparison.ordered_seconds()] == [
+            "LS", "FCFS", "ETF",
+        ]
+        rows = comparisons_to_rows([comparison])
+        assert [row["scheduler"] for row in rows] == ["LS", "FCFS", "ETF"]
 
 
 class TestFigure6:

@@ -282,7 +282,8 @@ class TestCampaignMemoCorrectness:
     def test_memoized_campaign_equals_cold_run(self, fast_engine):
         """A campaign served by warm memos == the same campaign run cold,
         on either fast engine (only the no-kernel one analyzes traces)."""
-        from repro.campaign.executor import clear_cell_memo, run_campaign
+        from repro.api.engine import Engine
+        from repro.campaign.executor import clear_cell_memo
         from repro.campaign.spec import CampaignSpec, MachineVariant
         from repro.cache.memo import TRACE_MEMO
 
@@ -302,18 +303,18 @@ class TestCampaignMemoCorrectness:
 
         TRACE_MEMO.clear()
         clear_cell_memo()
-        cold = snapshot(run_campaign(spec))
+        cold = snapshot(Engine().run_campaign(spec))
         # Everything is now memoized: workloads, seed-invariant cells and,
         # without the kernel, analyses.  A re-run must reproduce the cold
         # results exactly.
-        warm = snapshot(run_campaign(spec))
+        warm = snapshot(Engine().run_campaign(spec))
         assert warm == cold
 
         # And the scalar reference engine agrees with both.
         previous = set_fast_cache(False)
         try:
             clear_cell_memo()
-            scalar = snapshot(run_campaign(spec))
+            scalar = snapshot(Engine().run_campaign(spec))
         finally:
             set_fast_cache(previous)
         assert scalar == cold

@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro.campaign.leases as leases
-from repro.api.engine import _SHARED_POOL
-from repro.campaign.executor import run_campaign
+from repro.api.engine import _SHARED_POOL, Engine
 from repro.campaign.failures import classify_failure
 from repro.campaign.leases import (
     LEASE_HEARTBEAT_FRACTION,
@@ -132,14 +131,14 @@ class TestEngineValidation:
     @pytest.mark.parametrize("bad", [0, -1.0])
     def test_nonpositive_lease_rejected(self, bad):
         with pytest.raises(CampaignError, match="lease_seconds"):
-            run_campaign(_spec(), jobs=2, lease_seconds=bad)
+            Engine(jobs=2, lease_seconds=bad).run_campaign(_spec())
 
     def test_lease_ignored_off_processes_policy(self):
         # Threads share the parent; liveness leases are meaningless and
         # must not interfere (a 10ms lease would expire every cell).
-        outcome = run_campaign(
-            _spec(), jobs=2, policy="threads", lease_seconds=0.01
-        )
+        outcome = Engine(
+            jobs=2, policy="threads", lease_seconds=0.01
+        ).run_campaign(_spec())
         assert not outcome.failures
         assert len(outcome.results) == 2
 
@@ -168,20 +167,16 @@ class TestReaper:
             seeds=(0, 1),
             scale=0.25,
         )
-        outcome = run_campaign(
-            spec,
-            jobs=2,
-            policy="processes",
-            lease_seconds=0.4,
-            keep_going=True,
-        )
+        outcome = Engine(
+            jobs=2, policy="processes", lease_seconds=0.4, keep_going=True
+        ).run_campaign(spec)
         assert not outcome.failures
         assert len(outcome.results) == 4
 
     def test_leases_are_inert_on_healthy_runs(self):
-        outcome = run_campaign(
-            _spec(), jobs=2, policy="processes", lease_seconds=30.0
-        )
+        outcome = Engine(
+            jobs=2, policy="processes", lease_seconds=30.0
+        ).run_campaign(_spec())
         assert not outcome.failures
         assert len(outcome.results) == 2
 
@@ -201,13 +196,9 @@ class TestReaper:
         fault_plan(
             f"ledger={tmp_path}; hang@cell:MxM|*|LS|seed=0*,seconds=15,times=1"
         )
-        outcome = run_campaign(
-            _spec(),
-            jobs=2,
-            policy="processes",
-            lease_seconds=0.5,
-            keep_going=True,
-        )
+        outcome = Engine(
+            jobs=2, policy="processes", lease_seconds=0.5, keep_going=True
+        ).run_campaign(_spec())
         assert len(outcome.failures) == 1
         failure = outcome.failures[0]
         assert failure.kind == "crash"
@@ -222,20 +213,19 @@ class TestReaper:
         """With a retry budget the expiry is absorbed: the fault ledger
         exhausts, the retry beats normally, and the campaign matches the
         fault-free run."""
-        baseline = run_campaign(_spec())
+        baseline = Engine().run_campaign(_spec())
         monkeypatch.setattr(leases, "_beat", lambda path, interval, stop: None)
         _SHARED_POOL.retire(kill=True)
         fault_plan(
             f"ledger={tmp_path}; hang@cell:MxM|*|LS|seed=0*,seconds=15,times=1"
         )
-        outcome = run_campaign(
-            _spec(),
+        outcome = Engine(
             jobs=2,
             policy="processes",
             lease_seconds=0.5,
             max_retries=1,
             keep_going=True,
-        )
+        ).run_campaign(_spec())
         assert not outcome.failures
 
         def comparable(results):

@@ -237,18 +237,18 @@ class TestExecutorCellPersistence:
             first = execute_run(run)
             assert active_memo_store().counts().get("cell", 0) >= 1
             clear_cell_memo()  # a "new process"
-            import repro.experiments.runner as runner_module
+            from repro.sim.simulator import MPSoCSimulator
 
-            original = runner_module.run_comparison
+            original = MPSoCSimulator.run
 
             def boom(*args, **kwargs):
                 raise AssertionError("cell should come from the store")
 
-            runner_module.run_comparison = boom
+            MPSoCSimulator.run = boom
             try:
                 second = execute_run(run)
             finally:
-                runner_module.run_comparison = original
+                MPSoCSimulator.run = original
             assert second.to_dict() == first.to_dict()
             # A different seed of the same deterministic cell re-badges
             # the persisted simulation.

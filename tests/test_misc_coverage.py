@@ -14,18 +14,10 @@ from repro.programs.accesses import AffineAccess
 from repro.programs.arrays import ArraySpec
 from repro.programs.fragments import ProgramFragment
 from repro.programs.loops import LoopNest
-from repro.sched.dynamic_locality import DynamicLocalityScheduler
-from repro.sched.locality import LocalityScheduler
 from repro.sched.random_sched import RandomScheduler
 from repro.sim.config import MachineConfig
 from repro.sim.simulator import MPSoCSimulator
 from repro.sim.trace import build_trace
-
-
-class TestBackwardsCompatAlias:
-    def test_dynamic_locality_is_ls(self):
-        assert issubclass(DynamicLocalityScheduler, LocalityScheduler)
-        assert DynamicLocalityScheduler().name == "LS"
 
 
 class TestMultiPieceProcess:

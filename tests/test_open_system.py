@@ -424,6 +424,56 @@ class TestCampaignAxis:
             r.to_dict() for r in first.results
         ]
 
+    @staticmethod
+    def _labelled(*labels: str) -> CampaignSpec:
+        """Arrivals that differ only in their label (one memo identity)."""
+        return CampaignSpec(
+            workloads=("mix:2",),
+            schedulers=(SchedulerSpec("LS"), SchedulerSpec("RS")),
+            scale=0.25,
+            arrivals=tuple(ArrivalSpec.of("batch", label=label) for label in labels),
+            name="labels",
+        )
+
+    def _run_checked(self, *labels: str) -> str:
+        from repro.campaign.rollup import rollup_results
+        from repro.serve.service import result_fingerprint
+
+        spec = self._labelled(*labels)
+        runs = spec.expand()
+        results = Engine().run_many(runs)
+        assert [r.arrival for r in results] == [
+            run.arrival.effective_label for run in runs
+        ]
+        rows = rollup_results(results)
+        assert sorted((row.arrival, row.scheduler, row.runs) for row in rows) == sorted(
+            (label, name, 1) for label in labels for name in ("LS", "RS")
+        )
+        return result_fingerprint(results)
+
+    def test_memoized_cell_keeps_its_arrival_label(self):
+        from repro.campaign.executor import clear_cell_memo
+
+        clear_cell_memo()
+        forward = self._run_checked("early", "late")
+        clear_cell_memo()
+        assert self._run_checked("late", "early") == forward
+
+    def test_stored_cell_keeps_its_arrival_label(self, tmp_path):
+        from repro.cache.store import active_memo_store, configure_memo_store
+        from repro.campaign.executor import clear_cell_memo
+
+        previous = active_memo_store()
+        try:
+            configure_memo_store(tmp_path / "memo")
+            clear_cell_memo()
+            forward = self._run_checked("early", "late")
+            clear_cell_memo()  # a "new process": LS/late loads from the store
+            assert self._run_checked("late", "early") == forward
+        finally:
+            clear_cell_memo()
+            configure_memo_store(previous.root if previous is not None else None)
+
     def test_open_system_experiment_smoke(self, tmp_path):
         from repro.experiments.open_system import (
             render_open_system,

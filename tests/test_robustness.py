@@ -18,7 +18,7 @@ import pytest
 
 from repro.api.engine import Engine
 from repro.cache.memo import fast_cache_enabled, scalar_fallback, set_fast_cache
-from repro.campaign.executor import clear_cell_memo, run_campaign
+from repro.campaign.executor import clear_cell_memo
 from repro.campaign.spec import CampaignSpec, MachineVariant, SchedulerSpec
 from repro.campaign.store import ResultStore
 from repro.cache.store import MemoStore
@@ -70,9 +70,9 @@ class TestWorkerCrash:
         any *other* cell: with a retry budget the campaign completes and
         every result is identical to the fault-free run."""
         spec = _spec()
-        baseline = run_campaign(spec)
+        baseline = Engine().run_campaign(spec)
         fault_plan(f"ledger={tmp_path}; crash@cell:Shape|*|LS|seed=0*,times=1")
-        outcome = run_campaign(spec, jobs=2, max_retries=1, keep_going=True)
+        outcome = Engine(jobs=2, max_retries=1, keep_going=True).run_campaign(spec)
         assert not outcome.failures
         assert _result_dicts(outcome.results) == _result_dicts(baseline.results)
 
@@ -82,7 +82,7 @@ class TestWorkerCrash:
         pool break also killed — recover on resubmission."""
         spec = _spec(seeds=(0,))
         fault_plan(f"ledger={tmp_path}; crash@cell:Shape|*|LS|*,times=5")
-        outcome = run_campaign(spec, jobs=2, max_retries=1, keep_going=True)
+        outcome = Engine(jobs=2, max_retries=1, keep_going=True).run_campaign(spec)
         assert len(outcome.failures) == 1
         failure = outcome.failures[0]
         assert failure.kind == "crash"
@@ -101,9 +101,7 @@ class TestHungCells:
         fault_plan(
             f"ledger={tmp_path}; hang@cell:Shape|*|LS|*,seconds=60,times=2"
         )
-        outcome = run_campaign(
-            spec, jobs=2, cell_timeout=2.0, keep_going=True
-        )
+        outcome = Engine(jobs=2, cell_timeout=2.0, keep_going=True).run_campaign(spec)
         assert [f.kind for f in outcome.failures] == ["timeout"]
         assert outcome.failures[0].workload == "Shape"
         assert len(outcome.results) == spec.num_cells - 1
@@ -116,13 +114,13 @@ class TestHungCells:
         fault_plan(
             f"ledger={tmp_path}/led; hang@cell:Shape|*|LS|*,seconds=60,times=2"
         )
-        outcome = run_campaign(
-            spec, jobs=2, cell_timeout=2.0, keep_going=True, store=store
-        )
+        outcome = Engine(
+            jobs=2, cell_timeout=2.0, keep_going=True, store=store
+        ).run_campaign(spec)
         assert len(outcome.failures) == 1
         assert store.load_failures().keys() == {outcome.failures[0].key}
         configure_fault_plan(None)
-        repaired = run_campaign(spec, store=store, resume=True)
+        repaired = Engine(store=store, resume=True).run_campaign(spec)
         assert repaired.skipped == spec.num_cells - 1
         assert len(repaired.results) == spec.num_cells
         assert store.load_failures() == {}
@@ -192,7 +190,7 @@ class TestStoreCorruption:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                outcome = run_campaign(_spec(seeds=(0,)))
+                outcome = Engine().run_campaign(_spec(seeds=(0,)))
             assert len(outcome.results) == _spec(seeds=(0,)).num_cells
         finally:
             configure_memo_store(None)
@@ -219,14 +217,14 @@ class TestGracefulDowngrade:
         fault_plan(f"ledger={tmp_path}; error@qplan,times=1")
         previous = set_fast_cache(True)
         try:
-            faulty = run_campaign(spec).results[0]
+            faulty = Engine().run_campaign(spec).results[0]
             assert faulty.downgraded is not None
             assert "InjectedFaultError" in faulty.downgraded
 
             configure_fault_plan(None)
             clear_cell_memo()
             set_fast_cache(False)
-            scalar = run_campaign(spec).results[0]
+            scalar = Engine().run_campaign(spec).results[0]
         finally:
             set_fast_cache(previous)
             clear_cell_memo()
@@ -379,9 +377,9 @@ class TestArtefactStability:
         """max_retries/cell_timeout/keep_going engaged (but never firing)
         must not perturb a single simulated number."""
         spec = _spec(seeds=(0,))
-        plain = run_campaign(spec)
-        hardened = run_campaign(
-            spec, jobs=2, max_retries=2, cell_timeout=120.0, keep_going=True
-        )
+        plain = Engine().run_campaign(spec)
+        hardened = Engine(
+            jobs=2, max_retries=2, cell_timeout=120.0, keep_going=True
+        ).run_campaign(spec)
         assert not hardened.failures
         assert _result_dicts(plain.results) == _result_dicts(hardened.results)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.executor import run_campaign
+from repro.api.engine import Engine
 from repro.campaign.spec import CampaignSpec, MachineVariant, SchedulerSpec
 from repro.errors import ServeError
 from repro.serve import (
@@ -82,7 +82,7 @@ class TestProtocol:
 
 class TestFingerprint:
     def test_order_and_timing_independent(self):
-        results = run_campaign(_spec("fp")).results
+        results = Engine().run_campaign(_spec("fp")).results
         assert len(results) == 2
         fp = result_fingerprint(results)
         assert fp == result_fingerprint(list(reversed(results)))
@@ -92,7 +92,7 @@ class TestFingerprint:
         assert fp == result_fingerprint(retimed)
 
     def test_sensitive_to_results(self):
-        results = run_campaign(_spec("fp")).results
+        results = Engine().run_campaign(_spec("fp")).results
         assert result_fingerprint(results) != result_fingerprint(results[:1])
 
 
@@ -129,7 +129,7 @@ class TestSubmitAndAttach:
             ]
 
     def test_done_matches_inprocess_run(self, tmp_path):
-        baseline = run_campaign(_spec())
+        baseline = Engine().run_campaign(_spec())
         with start_in_thread(_config(tmp_path)) as handle:
             done = submit_converged(ServeClient(handle.port), _spec())
         assert done["fingerprint"] == result_fingerprint(baseline.results)
@@ -269,7 +269,7 @@ class TestCrashRecovery:
         """submit_converged keeps retrying across a server death: the
         replacement (same store root) finishes the campaign."""
         config = _config(tmp_path)
-        baseline = run_campaign(_spec())
+        baseline = Engine().run_campaign(_spec())
         first = start_in_thread(config)
         port = first.port
         done1 = submit_converged(ServeClient(port), _spec())
@@ -292,7 +292,7 @@ class TestChaos:
         """The tentpole invariant: request errors, mid-stream
         disconnects, and injected delays leave the converged result
         fingerprint byte-identical to a fault-free run."""
-        baseline = run_campaign(_spec())
+        baseline = Engine().run_campaign(_spec())
         fault_plan(
             f"ledger={tmp_path / 'ledger'}; seed=3; "
             "error@serve:request:submit,times=1; "
