@@ -70,15 +70,19 @@ def figure2_sharing_matrix(
     return SharingMatrix(pids, matrix)
 
 
-def figure2_mappings(num_cores: int = 4) -> dict[str, list[list[str]]]:
+def figure2_mappings(
+    num_cores: int = 4, sharing: SharingMatrix | None = None
+) -> dict[str, list[list[str]]]:
     """The good (2b) and poor (2c) mappings for four cores.
 
     The good mapping is derived by the Figure-3 selection rule: the
     first quantum runs the even processes; each core's second process is
     the one sharing the most data with its first.  The poor mapping
-    pairs processes that share nothing.
+    pairs processes that share nothing.  ``sharing`` defaults to a fresh
+    :func:`figure2_sharing_matrix`.
     """
-    sharing = figure2_sharing_matrix()
+    if sharing is None:
+        sharing = figure2_sharing_matrix()
     first_quantum = [f"P{2 * c}" for c in range(num_cores)]
     second_pool = [f"P{2 * c + 1}" for c in range(num_cores)]
     good = []
@@ -109,7 +113,7 @@ def mapping_sharing_total(
 def render_figure2() -> str:
     """ASCII reproduction of Figure 2 (matrix plus both mappings)."""
     sharing = figure2_sharing_matrix()
-    mappings = figure2_mappings()
+    mappings = figure2_mappings(sharing=sharing)
     lines = [
         format_matrix(
             sharing.matrix.tolist(),

@@ -1,9 +1,19 @@
-"""Exact enumerated integer point sets with fast set algebra.
+"""Exact enumerated integer point sets.
 
-A :class:`PointSet` is the grounded form of a symbolic set: an (N, d) array
-of distinct integer points in canonical (lexicographically sorted) order.
-All sharing-matrix arithmetic in :mod:`repro.sharing` bottoms out in the
-numpy-backed intersections and unions implemented here.
+A :class:`PointSet` is the grounded form of a symbolic set: the distinct
+integer points of one dimension as an (N, dim) int64 array in canonical
+(lexicographic) order.  Every sharing-matrix number in :mod:`repro.sharing`
+bottoms out in the set algebra here, and none of it sorts rows as a void
+dtype.  A 1-D set (every ``DS`` set and footprint) is its sorted distinct
+column, so its algebra is ``searchsorted`` probes and 1-D ``np.unique``.
+An n-D set sorts with ``np.lexsort`` and dedupes by an adjacent-row scan.
+:meth:`BasicSet.enumerate`'s row-major grid is canonical by construction
+and enters through :meth:`PointSet._from_canonical`, which neither sorts
+nor checks (docs/PERFORMANCE.md says why).
+
+Coordinates must be integers: float and bool input is rejected, not
+truncated.  Membership follows :class:`range`: a candidate with a
+non-integral coordinate is not a member.
 """
 
 from __future__ import annotations
@@ -15,50 +25,51 @@ import numpy as np
 from repro.errors import DimensionMismatchError, ValidationError
 
 
-def _canonicalize(points: np.ndarray) -> np.ndarray:
-    """Sort lexicographically and drop duplicate rows.
+def _int_array(values: np.ndarray | Iterable) -> np.ndarray:
+    """``values`` as an int64 array; non-integer input is a ValidationError."""
+    try:
+        array = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    except (TypeError, ValueError) as exc:  # ragged rows
+        raise ValidationError(f"points must be rows of integers: {exc}") from None
+    kind = array.dtype.kind
+    if array.size and (kind not in "iu" or not np.can_cast(array.dtype, np.int64)):
+        raise ValidationError(f"points must be int64 integers, got {array.dtype}")
+    return array.astype(np.int64, copy=False)
 
-    Point arrays that arrive already in canonical order — grid
-    enumerations, images of monotonic access maps, merges of disjoint
-    ranges — skip ``np.unique``'s sort: sorted 1-D input deduplicates
-    with a boundary scan, and lex-strictly-increasing n-D input is
-    already canonical.
+
+def _canonicalize(rows: np.ndarray) -> np.ndarray:
+    """Sort an (N, d) int64 array lexicographically and drop duplicate rows.
+
+    Always a fresh array: the caller freezes it, and the input stays the
+    caller's.  Sorted 1-D input only needs the boundary scan.
     """
-    if points.size == 0:
-        return points.reshape(0, points.shape[1] if points.ndim == 2 else 0)
-    if points.shape[1] == 1:
-        flat = points[:, 0]
-        if bool(np.all(flat[1:] >= flat[:-1])):
-            keep = np.empty(len(flat), dtype=bool)
-            keep[0] = True
-            np.not_equal(flat[1:], flat[:-1], out=keep[1:])
-            return points[keep]
-    elif _lex_strictly_increasing(points):
-        # Copy: the canonical array gets frozen, the input stays the
-        # caller's.
-        return points.copy()
-    return np.unique(points, axis=0)
+    if rows.shape[1] == 1:
+        column = rows[:, 0]
+        if np.any(column[1:] < column[:-1]):
+            return np.unique(column).reshape(-1, 1)
+    elif rows.shape[1] > 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return rows[fresh]
 
 
-def _lex_strictly_increasing(points: np.ndarray) -> bool:
-    """Whether consecutive rows are strictly lexicographically increasing."""
-    if len(points) <= 1:
-        return True
-    head, tail = points[:-1], points[1:]
-    less = np.zeros(len(head), dtype=bool)
-    equal = np.ones(len(head), dtype=bool)
-    for column in range(points.shape[1]):
-        a = head[:, column]
-        b = tail[:, column]
-        less |= equal & (a < b)
-        equal &= a == b
-    return bool(np.all(less))
-
-
-def _as_void(points: np.ndarray) -> np.ndarray:
-    """View rows as opaque scalars so 1-D set ops apply to 2-D row sets."""
-    contiguous = np.ascontiguousarray(points)
-    return contiguous.view([("", contiguous.dtype)] * contiguous.shape[1]).ravel()
+def _member_mask(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Which rows of canonical ``rows`` also occur in canonical ``other``."""
+    if rows.shape[1] == 1:
+        probes, column = rows[:, 0], other[:, 0]
+        found = np.searchsorted(column, probes)
+        np.minimum(found, len(column) - 1, out=found)
+        return column[found] == probes
+    # Neither operand repeats a row, so equal neighbours in the stable sort
+    # of the concatenation are the common points, the copy from ``rows``
+    # first.
+    both = np.concatenate([rows, other])
+    order = np.lexsort(both.T[::-1])
+    ordered = both[order]
+    mask = np.zeros(len(rows), dtype=bool)
+    mask[order[:-1][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+    return mask
 
 
 class PointSet:
@@ -67,7 +78,7 @@ class PointSet:
     __slots__ = ("_points", "_dim")
 
     def __init__(self, points: np.ndarray | Iterable[Sequence[int]], dim: int | None = None) -> None:
-        array = np.asarray(list(points) if not isinstance(points, np.ndarray) else points)
+        array = _int_array(points)
         if array.size == 0:
             if dim is None:
                 raise ValidationError("an empty PointSet needs an explicit dim")
@@ -78,23 +89,28 @@ class PointSet:
             raise ValidationError(f"points must be a 2-D array, got ndim={array.ndim}")
         if dim is not None and array.shape[1] != dim:
             raise DimensionMismatchError(dim, array.shape[1], "PointSet")
-        self._points = _canonicalize(array.astype(np.int64, copy=False))
+        self._points = _canonicalize(array)
         self._points.setflags(write=False)
         self._dim = self._points.shape[1]
 
     @classmethod
+    def _from_canonical(cls, rows: np.ndarray) -> "PointSet":
+        """Adopt and freeze an (N, dim) int64 array that is already canonical."""
+        result = object.__new__(cls)
+        rows.setflags(write=False)
+        result._points = rows
+        result._dim = rows.shape[1]
+        return result
+
+    @classmethod
     def empty(cls, dim: int) -> "PointSet":
         """The empty set of the given dimension."""
-        return cls(np.empty((0, dim), dtype=np.int64), dim=dim)
+        return cls._from_canonical(np.empty((0, dim), dtype=np.int64))
 
     @classmethod
     def from_flat(cls, values: np.ndarray | Iterable[int]) -> "PointSet":
         """Build a 1-D point set from a flat iterable of ints."""
-        array = np.asarray(
-            list(values) if not isinstance(values, np.ndarray) else values,
-            dtype=np.int64,
-        )
-        return cls(array.reshape(-1, 1), dim=1)
+        return cls(_int_array(values).reshape(-1, 1), dim=1)
 
     # -- inspection ---------------------------------------------------------
 
@@ -109,7 +125,7 @@ class PointSet:
         return self._points
 
     def flat(self) -> np.ndarray:
-        """The values of a 1-D point set as a flat array."""
+        """The values of a 1-D point set as a flat (sorted, distinct) array."""
         if self._dim != 1:
             raise DimensionMismatchError(1, self._dim, "flat() needs a 1-D set")
         return self._points[:, 0]
@@ -122,14 +138,18 @@ class PointSet:
         return self._points.shape[0]
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for row in self._points:
-            yield tuple(int(x) for x in row)
+        for row in self._points.tolist():
+            yield tuple(row)
 
     def __contains__(self, point: Sequence[int]) -> bool:
-        candidate = np.asarray(point, dtype=np.int64).reshape(1, -1)
-        if candidate.shape[1] != self._dim:
-            raise DimensionMismatchError(self._dim, candidate.shape[1], "membership")
-        if self.is_empty():
+        coords = np.asarray(point, dtype=object).reshape(-1).tolist()
+        if len(coords) != self._dim:
+            raise DimensionMismatchError(self._dim, len(coords), "membership")
+        try:
+            candidate = np.array(coords, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if candidate.tolist() != coords:  # the cast changed a coordinate
             return False
         return bool(np.any(np.all(self._points == candidate, axis=1)))
 
@@ -146,44 +166,30 @@ class PointSet:
         self._check_compatible(other)
         if self.is_empty() or other.is_empty():
             return PointSet.empty(self._dim)
-        if self._dim == 1:
-            common = np.intersect1d(self.flat(), other.flat(), assume_unique=True)
-            return PointSet.from_flat(common)
-        common = np.intersect1d(
-            _as_void(self._points), _as_void(other._points), assume_unique=True
-        )
-        return PointSet(common.view(np.int64).reshape(-1, self._dim), dim=self._dim)
+        small, large = sorted((self._points, other._points), key=len)
+        return PointSet._from_canonical(small[_member_mask(small, large)])
 
     def union(self, other: "PointSet") -> "PointSet":
         """Exact set union."""
-        self._check_compatible(other)
-        if self.is_empty():
-            return other
-        if other.is_empty():
-            return self
-        return PointSet(np.concatenate([self._points, other._points]), dim=self._dim)
+        return PointSet.union_all([self, other])
 
     @classmethod
     def union_all(cls, sets: Sequence["PointSet"]) -> "PointSet":
-        """Union of many sets in one concatenate-and-canonicalize pass.
+        """Union of many sets in one concatenate-and-dedupe pass.
 
-        Equivalent to folding :meth:`union`, but pairwise folding re-sorts
-        the accumulated points once per operand; workload-wide footprint
-        merges use this instead.
+        Folding :meth:`union` pairwise would re-sort the accumulated points
+        once per operand.
         """
         sets = list(sets)
         if not sets:
             raise ValidationError("union_all needs at least one set")
-        dim = sets[0].dim
         for other in sets[1:]:
             sets[0]._check_compatible(other)
         non_empty = [s for s in sets if not s.is_empty()]
-        if not non_empty:
-            return cls.empty(dim)
-        if len(non_empty) == 1:
-            return non_empty[0]
-        return cls(
-            np.concatenate([s._points for s in non_empty]), dim=dim
+        if len(non_empty) <= 1:
+            return non_empty[0] if non_empty else sets[0]
+        return cls._from_canonical(
+            _canonicalize(np.concatenate([s._points for s in non_empty]))
         )
 
     def difference(self, other: "PointSet") -> "PointSet":
@@ -191,50 +197,34 @@ class PointSet:
         self._check_compatible(other)
         if self.is_empty() or other.is_empty():
             return self
-        if self._dim == 1:
-            remaining = np.setdiff1d(self.flat(), other.flat(), assume_unique=True)
-            return PointSet.from_flat(remaining)
-        remaining = np.setdiff1d(
-            _as_void(self._points), _as_void(other._points), assume_unique=True
+        return PointSet._from_canonical(
+            self._points[~_member_mask(self._points, other._points)]
         )
-        return PointSet(remaining.view(np.int64).reshape(-1, self._dim), dim=self._dim)
 
     def intersection_size(self, other: "PointSet") -> int:
         """``len(self ∩ other)`` without materialising the intermediate set.
 
-        For 1-D sets this is a binary-search count — canonical points are
-        already sorted and unique, so probing the larger side with the
-        smaller avoids ``intersect1d``'s sort of the concatenation (the
-        sharing matrix calls this for every process pair).
+        The sharing matrix calls this for every process pair that touches
+        a common array.
         """
         self._check_compatible(other)
         if self.is_empty() or other.is_empty():
             return 0
+        small, large = sorted((self._points, other._points), key=len)
         if self._dim == 1:
-            haystack = self._points[:, 0]
-            needles = other._points[:, 0]
             # Partitioned processes mostly touch disjoint index ranges
             # of a shared array, and co-readers often touch identical
             # ones; both resolve without a search.
-            if haystack[-1] < needles[0] or needles[-1] < haystack[0]:
+            if small[-1, 0] < large[0, 0] or large[-1, 0] < small[0, 0]:
                 return 0
             if (
-                len(haystack) == len(needles)
-                and haystack[0] == needles[0]
-                and haystack[-1] == needles[-1]
-                and np.array_equal(haystack, needles)
+                len(small) == len(large)
+                and small[0, 0] == large[0, 0]
+                and small[-1, 0] == large[-1, 0]
+                and np.array_equal(small, large)
             ):
-                return len(haystack)
-            if len(haystack) < len(needles):
-                haystack, needles = needles, haystack
-            found = np.searchsorted(haystack, needles)
-            found[found == len(haystack)] = 0
-            return int(np.count_nonzero(haystack[found] == needles))
-        return int(
-            np.intersect1d(
-                _as_void(self._points), _as_void(other._points), assume_unique=True
-            ).size
-        )
+                return len(small)
+        return int(np.count_nonzero(_member_mask(small, large)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):

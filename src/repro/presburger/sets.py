@@ -196,6 +196,7 @@ class BasicSet:
 
         Enumerates the inferred bounding box (guarded by ``max_points``)
         and filters with every constraint, vectorised over numpy columns.
+        The row-major grid is already canonical, so it is adopted as is.
         """
         bounds = self.infer_bounds()
         widths = []
@@ -225,7 +226,7 @@ class BasicSet:
             keep &= constraint.holds_vectorized(columns)
             if not keep.any():
                 return PointSet.empty(self.dim)
-        return PointSet(grid[keep], dim=self.dim)
+        return PointSet._from_canonical(grid[keep])
 
     def is_empty(self, max_points: int = DEFAULT_MAX_POINTS) -> bool:
         """True when the set has no integer points."""
@@ -319,10 +320,9 @@ class IntegerSet:
 
     def enumerate(self, max_points: int = DEFAULT_MAX_POINTS) -> PointSet:
         """Ground into an exact :class:`PointSet` (duplicates collapse)."""
-        result = PointSet.empty(len(self._space))
-        for piece in self._pieces:
-            result = result.union(piece.enumerate(max_points=max_points))
-        return result
+        return PointSet.union_all(
+            [piece.enumerate(max_points=max_points) for piece in self._pieces]
+        )
 
     def count(self, max_points: int = DEFAULT_MAX_POINTS) -> int:
         """Exact cardinality of the union."""

@@ -97,17 +97,15 @@ class Process:
 
     def data_sets(self) -> dict[str, PointSet]:
         """Merged per-array flat-element footprint — the process's ``DS`` (cached)."""
-        if self._data_cache is not None:
-            return dict(self._data_cache)
-        merged: dict[str, PointSet] = {}
-        for piece in self._pieces:
-            for name, points in piece.data_sets().items():
-                if name in merged:
-                    merged[name] = merged[name].union(points)
-                else:
-                    merged[name] = points
-        self._data_cache = merged
-        return dict(merged)
+        if self._data_cache is None:
+            groups: dict[str, list[PointSet]] = {}
+            for piece in self._pieces:
+                for name, points in piece.data_sets().items():
+                    groups.setdefault(name, []).append(points)
+            self._data_cache = {
+                name: PointSet.union_all(sets) for name, sets in groups.items()
+            }
+        return dict(self._data_cache)
 
     def trace_cache_get(self, key):
         """Fetch a memoized memory trace (see :func:`repro.sim.trace.build_trace`)."""

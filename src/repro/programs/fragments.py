@@ -10,7 +10,7 @@ access stream the simulator turns into a memory trace.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -167,21 +167,21 @@ class FragmentPiece:
         return len(self.iteration_points())
 
     def data_sets(self) -> dict[str, PointSet]:
-        """Per-array flat-element footprints — the paper's ``DS`` sets (cached)."""
-        if self._data_cache is not None:
-            return dict(self._data_cache)
-        points = self.iteration_points()
-        loop_vars = self._fragment.nest.variables
-        footprints: dict[str, PointSet] = {}
-        for access in self._fragment.accesses:
-            image = access.access_map(loop_vars).image(points)
-            name = access.array.name
-            if name in footprints:
-                footprints[name] = footprints[name].union(image)
-            else:
-                footprints[name] = image
-        self._data_cache = footprints
-        return dict(footprints)
+        """Per-array flat-element footprints — the paper's ``DS`` sets (cached).
+
+        An array's footprint is the union of its accesses' offset columns
+        (:meth:`access_columns`), which are exactly the images of the
+        access maps over the iteration points.
+        """
+        if self._data_cache is None:
+            offsets: dict[str, list[np.ndarray]] = {}
+            for array, column, _ in self.access_columns():
+                offsets.setdefault(array.name, []).append(column)
+            self._data_cache = {
+                name: PointSet.from_flat(np.concatenate(columns))
+                for name, columns in offsets.items()
+            }
+        return dict(self._data_cache)
 
     def data_set(self, array_name: str) -> PointSet:
         """The flat-element footprint on one array."""

@@ -123,18 +123,24 @@ def figure3_schedule(
 
     # -- initialisation: pick the first-round co-runners ----------------------
     candidates = sorted(p.pid for p in epg.independent_processes())
-    deferred: list[str] = []
-    while len(candidates) > num_cores:
-        totals = [
-            (sharing.total_sharing(pid, candidates), pid) for pid in candidates
-        ]
-        if trim == "max-sharing":
-            # Remove the candidate sharing the most with the others.
-            _, victim = max(totals, key=lambda item: (item[0], item[1]))
-        else:
-            _, victim = min(totals, key=lambda item: (item[0], item[1]))
-        candidates.remove(victim)
-        deferred.append(victim)
+    if len(candidates) > num_cores:
+        rows = np.array([sharing.index_of(pid) for pid in candidates], dtype=np.intp)
+        block = sharing.matrix[np.ix_(rows, rows)]
+        # Each candidate's sharing with the other candidates; a removal
+        # subtracts the victim's column.
+        totals = block.sum(axis=1) - block.diagonal()
+        alive = np.ones(len(candidates), dtype=bool)
+        for _ in range(len(candidates) - num_cores):
+            live = np.flatnonzero(alive)
+            values = totals[live]
+            if trim == "max-sharing":
+                # Remove the candidate sharing the most with the others.
+                victim = live[values == values.max()][-1]  # ties: largest pid
+            else:
+                victim = live[values == values.min()][0]  # ties: smallest pid
+            alive[victim] = False
+            totals -= block[:, victim]
+        candidates = [pid for pid, kept in zip(candidates, alive) if kept]
 
     queues: list[list[str]] = [[] for _ in range(num_cores)]
     scheduled: set[str] = set()

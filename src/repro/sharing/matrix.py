@@ -71,37 +71,21 @@ class SharingMatrix:
         i = self.index_of(pid)
         return int(self._matrix[i, i])
 
-    def total_sharing(self, pid: str, among: Sequence[str]) -> int:
-        """``Σ_q M[p][q]`` over ``q`` in ``among`` (excluding ``p`` itself).
-
-        This is the quantity the Figure-3 initialisation step minimises or
-        maximises when trimming the candidate set.
-        """
-        i = self.index_of(pid)
-        total = 0
-        for other in among:
-            j = self.index_of(other)
-            if j != i:
-                total += int(self._matrix[i, j])
-        return total
-
     def best_partner(
         self, pid: str, candidates: Sequence[str]
     ) -> tuple[str | None, int]:
-        """The candidate with maximum sharing with ``pid`` (ties: pid order).
+        """The candidate with maximum sharing with ``pid``.
+
+        Ties go to the earliest in ``candidates`` order.
 
         Returns ``(None, 0)`` when ``candidates`` is empty.
         """
         i = self.index_of(pid)
-        best: str | None = None
-        best_value = -1
-        for candidate in candidates:
-            value = int(self._matrix[i, self.index_of(candidate)])
-            if value > best_value:
-                best, best_value = candidate, value
-        if best is None:
+        if not candidates:
             return None, 0
-        return best, best_value
+        values = self._matrix[i, [self.index_of(c) for c in candidates]]
+        best = int(np.argmax(values))  # the first maximum
+        return candidates[best], int(values[best])
 
     def render(self, title: str = "Sharing matrix (bytes)") -> str:
         """ASCII rendering in the style of Figure 2(a)."""

@@ -76,6 +76,19 @@ class TestFigure2Exact:
         assert "Figure 2(b)" in rendered
         assert "Figure 2(c)" in rendered
 
+    def test_render_builds_the_matrix_once(self, monkeypatch):
+        from repro.experiments import figure2
+
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return figure2_sharing_matrix()
+
+        monkeypatch.setattr(figure2, "figure2_sharing_matrix", counted)
+        render_figure2()
+        assert len(calls) == 1
+
 
 def _small_scenario() -> Scenario:
     return (

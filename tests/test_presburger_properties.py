@@ -7,6 +7,8 @@ these invariants anchor every sharing-matrix number downstream.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,11 @@ from repro.presburger.constraints import Constraint
 from repro.presburger.maps import AffineMap
 from repro.presburger.points import PointSet
 from repro.presburger.terms import LinearExpr, var
+from repro.procgraph.process import Process
+from repro.programs.accesses import AffineAccess
+from repro.programs.arrays import ArraySpec
+from repro.programs.fragments import ProgramFragment
+from repro.programs.loops import LoopNest
 
 point_lists = st.lists(
     st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=40
@@ -134,3 +141,187 @@ def test_block_overlap_matches_closed_form(start, len_a, len_b):
     b = interval("i", start, start + len_b)
     expected = max(0, min(len_a, start + len_b) - max(0, start))
     assert a.intersect(b).count() == expected
+
+
+# -- oracle: PointSet against Python sets of tuples ---------------------------
+
+#: Origins that put coordinates near zero and near both ends of int64.
+ORIGINS = (0, -(2**62), 2**62 - 64)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two point lists of one dimension whose bounding boxes are disjoint,
+    nested, offset or unrelated; duplicates and any order included."""
+    dim = draw(st.integers(1, 3))
+    origin = draw(st.sampled_from(ORIGINS))
+    coord = st.integers(-6, 6).map(lambda v: origin + v)
+    point = st.tuples(*[coord] * dim)
+    a = draw(st.lists(point, max_size=30))
+    relation = draw(st.sampled_from(("disjoint", "nested", "offset", "unrelated")))
+    if relation == "nested" and a:
+        b = draw(st.lists(st.sampled_from(a), max_size=30))
+    elif relation in ("disjoint", "offset"):
+        span = 100 if relation == "disjoint" else 3
+        shift = draw(st.tuples(*[st.integers(-span, span)] * dim))
+        if relation == "disjoint":
+            shift = (span,) + shift[1:]
+        b = [tuple(x + s for x, s in zip(p, shift)) for p in a]
+        b += draw(st.lists(point, max_size=5))
+    else:
+        b = draw(st.lists(point, max_size=30))
+    b = draw(st.permutations(b))
+    return dim, a, b
+
+
+def as_set(points, dim) -> PointSet:
+    return PointSet(points, dim=dim) if points else PointSet.empty(dim)
+
+
+def expected(points) -> list[tuple[int, ...]]:
+    return sorted(set(points))
+
+
+class TestPointSetOracle:
+    @given(operand_pairs())
+    def test_construction(self, case):
+        """Canonical order, membership, equality and hash, whatever the
+        input's order and duplicates."""
+        dim, a, b = case
+        set_a = as_set(a, dim)
+        assert list(set_a) == expected(a)
+        assert set_a.points.shape == (len(set(a)), dim)
+        assert set_a.points.dtype == np.int64
+        for point in set(a) | set(b):
+            assert (point in set_a) == (point in set(a))
+        again = as_set(list(reversed(a)) + a[::2], dim)
+        assert set_a == again
+        assert hash(set_a) == hash(again)
+        assert (set_a == as_set(b, dim)) == (set(a) == set(b))
+        values = [p[0] for p in a]
+        assert PointSet.from_flat(values) == as_set([(v,) for v in values], 1)
+
+    @given(operand_pairs(), st.lists(st.integers(0, 2), max_size=4))
+    def test_set_algebra(self, case, extra):
+        dim, a, b = case
+        set_a, set_b = as_set(a, dim), as_set(b, dim)
+        assert list(set_a.intersect(set_b)) == expected(set(a) & set(b))
+        assert list(set_a.union(set_b)) == expected(set(a) | set(b))
+        assert list(set_a.difference(set_b)) == expected(set(a) - set(b))
+        assert list(set_b.difference(set_a)) == expected(set(b) - set(a))
+        assert set_a.intersection_size(set_b) == len(set(a) & set(b))
+        assert set_b.intersection_size(set_a) == len(set(a) & set(b))
+        operands = [a, b] + [a[k::3] for k in extra]
+        merged = PointSet.union_all([as_set(points, dim) for points in operands])
+        assert list(merged) == expected(p for points in operands for p in points)
+
+
+@st.composite
+def basic_sets(draw):
+    """A box of 1-3 variables (negative bounds included) cut by random
+    half-planes and an optional modular constraint."""
+    dim = draw(st.integers(1, 3))
+    names = ("i", "j", "k")[:dim]
+    bounds = {}
+    for name in names:
+        low = draw(st.integers(-6, 4))
+        bounds[name] = (low, low + draw(st.integers(1, 6)))
+    result = box(bounds)
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = {name: draw(st.integers(-3, 3)) for name in names}
+        result = result.with_constraints(
+            Constraint.le(LinearExpr(coeffs, 0), draw(st.integers(-8, 8)))
+        )
+    if draw(st.booleans()):
+        result = result.with_constraints(
+            Constraint.mod(var(names[0]) + var(names[-1]), draw(st.integers(2, 3)))
+        )
+    return result, bounds
+
+
+class TestEnumerationIsCanonical:
+    @given(basic_sets())
+    def test_enumerate_equals_checked_construction(self, case):
+        """The grid adopted without sorting is what the checking
+        constructor builds from the same rows, and the brute force."""
+        basic, bounds = case
+        enumerated = basic.enumerate()
+        rows = [
+            p
+            for p in itertools.product(*(range(lo, hi) for lo, hi in bounds.values()))
+            if basic.contains(p)
+        ]
+        assert enumerated == as_set(rows, basic.dim)
+        assert enumerated == as_set(enumerated.points.copy().tolist(), basic.dim)
+        assert list(enumerated) == rows
+
+
+# -- oracle: DS sets from the trace's offset columns --------------------------
+
+
+@st.composite
+def fragments(draw):
+    """A 1-2 deep nest with 2-4 accesses to one array (zero and negative
+    coefficients, so offsets repeat and arrive unsorted) plus one to a
+    second array, restricted to a random sub-space."""
+    depth = draw(st.integers(1, 2))
+    names = ("i", "j")[:depth]
+    nest = LoopNest([(name, 0, draw(st.integers(1, 6))) for name in names])
+    shared = ArraySpec("A", (64,))
+    other = ArraySpec("B", (8, 8))
+    accesses = []
+    for _ in range(draw(st.integers(2, 4))):
+        coeffs = {name: draw(st.integers(-3, 3)) for name in names}
+        accesses.append(
+            AffineAccess(
+                shared,
+                [LinearExpr(coeffs, draw(st.integers(-4, 20)))],
+                is_write=draw(st.booleans()),
+            )
+        )
+    accesses.append(AffineAccess(other, [var(names[0]), var(names[-1]) * 2 - 1]))
+    fragment = ProgramFragment("f", nest, draw(st.permutations(accesses)))
+    phase = draw(st.integers(0, 1))
+    piece = fragment.restrict(
+        nest.space().with_constraints(Constraint.mod(var(names[-1]), 2, phase)),
+        label="odd" if phase else "even",
+    )
+    return fragment, draw(st.sampled_from((fragment.whole(), piece)))
+
+
+class TestDataSetsFromOffsetColumns:
+    @settings(max_examples=60)
+    @given(fragments())
+    def test_data_sets_equal_access_map_images(self, case):
+        fragment, piece = case
+        loop_vars = fragment.nest.variables
+        points = piece.iteration_points()
+        data_sets = piece.data_sets()
+        assert sorted(data_sets) == sorted(fragment.arrays)
+        for name, footprint in data_sets.items():
+            images = [
+                access.access_map(loop_vars).image(points)
+                for access in fragment.accesses
+                if access.array.name == name
+            ]
+            folded = images[0]
+            for image in images[1:]:
+                folded = folded.union(image)
+            assert footprint == folded
+            assert footprint.flat().tolist() == sorted(
+                {
+                    access.access_map(loop_vars).apply(point)[0]
+                    for access in fragment.accesses
+                    if access.array.name == name
+                    for point in points
+                }
+            )
+
+    @settings(max_examples=30)
+    @given(fragments())
+    def test_process_data_sets_union_its_pieces(self, case):
+        fragment, piece = case
+        whole = fragment.whole()
+        process = Process("p", "T", [piece, whole])
+        for name, footprint in process.data_sets().items():
+            assert footprint == piece.data_set(name).union(whole.data_set(name))

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulingError, ValidationError
+from repro.procgraph.graph import ProcessGraph
+from repro.procgraph.process import Process
+from repro.programs.accesses import AffineAccess
+from repro.programs.arrays import ArraySpec
+from repro.programs.fragments import ProgramFragment
+from repro.programs.loops import LoopNest
+from repro.presburger.terms import var
 from repro.sched.base import (
     PlanMode,
     SchedulerPlan,
@@ -19,7 +27,7 @@ from repro.sched.locality import (
 from repro.sched.locality_mapping import LocalityMappingScheduler
 from repro.sched.random_sched import RandomScheduler
 from repro.sched.round_robin import RoundRobinScheduler
-from repro.sharing.matrix import compute_sharing_matrix
+from repro.sharing.matrix import SharingMatrix, compute_sharing_matrix
 
 
 class TestSchedulerPlan:
@@ -134,6 +142,67 @@ class TestFigure3Schedule:
         first_max = sorted(q[0] for q in q_max if q)
         first_min = sorted(q[0] for q in q_min if q)
         assert first_max != first_min
+
+
+def reference_trim(sharing, candidates, num_cores, trim):
+    """The pairwise Figure-3 trim loop that row sums replaced."""
+    candidates = sorted(candidates)
+
+    def total_sharing(pid, among):
+        i = sharing.index_of(pid)
+        return sum(
+            int(sharing.matrix[i, sharing.index_of(other)])
+            for other in among
+            if sharing.index_of(other) != i
+        )
+
+    while len(candidates) > num_cores:
+        totals = [(total_sharing(pid, candidates), pid) for pid in candidates]
+        _, victim = (max if trim == "max-sharing" else min)(totals)
+        candidates.remove(victim)
+    return candidates
+
+
+def independent_graph(pids):
+    fragment = ProgramFragment(
+        "f",
+        LoopNest([("i", 0, 4)]),
+        [AffineAccess(ArraySpec("A", (4,)), [var("i")])],
+    )
+    graph = ProcessGraph()
+    for pid in pids:
+        graph.add_process(Process(pid, "T", [fragment.whole()]))
+    return graph
+
+
+class TestFigure3TrimEquivalence:
+    """Row-sum trimming picks the first round exactly as the pairwise loop."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("trim", ["max-sharing", "min-sharing"])
+    def test_matches_pairwise_loop(self, seed, trim):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        # Few distinct values make ties common; matrix order is not pid order.
+        pids = [f"q{k}" for k in rng.permutation(n)]
+        upper = np.triu(rng.integers(0, 3, size=(n, n)) * 64)
+        matrix = upper + upper.T
+        np.fill_diagonal(matrix, rng.integers(0, 1000, size=n))
+        sharing = SharingMatrix(pids, matrix)
+        graph = independent_graph(sorted(pids, key=lambda pid: rng.random()))
+        for num_cores in range(1, n + 1):
+            expected = reference_trim(sharing, pids, num_cores, trim)
+            queues = figure3_schedule(graph, sharing, num_cores, trim=trim)
+            assert [queue[0] for queue in queues[: len(expected)]] == expected
+
+    def test_ties_follow_pid_order(self):
+        pids = ["a", "b", "c", "d"]
+        sharing = SharingMatrix(pids, np.ones((4, 4), dtype=np.int64))
+        graph = independent_graph(pids)
+        trimmed = figure3_schedule(graph, sharing, 2, trim="max-sharing")
+        assert [queue[0] for queue in trimmed] == ["a", "b"]
+        trimmed = figure3_schedule(graph, sharing, 2, trim="min-sharing")
+        assert [queue[0] for queue in trimmed] == ["c", "d"]
 
 
 class TestLocalityPicker:

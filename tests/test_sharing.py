@@ -65,10 +65,6 @@ class TestSharingMatrix:
         with pytest.raises(UnknownProcessError):
             matrix.shared("p0", "zz")
 
-    def test_total_sharing_excludes_self(self):
-        matrix = compute_sharing_matrix(window_processes())
-        assert matrix.total_sharing("p0", ["p0", "p1"]) == matrix.shared("p0", "p1")
-
     def test_best_partner(self):
         procs = window_processes()
         matrix = compute_sharing_matrix(procs)
