@@ -25,15 +25,18 @@ import numpy as np
 from repro.errors import DimensionMismatchError, ValidationError
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _int_array(values: np.ndarray | Iterable) -> np.ndarray:
-    """``values`` as an int64 array; non-integer input is a ValidationError."""
+    """``values`` as int64; anything but integers within int64 is a ValidationError."""
     try:
         array = np.asarray(values if isinstance(values, np.ndarray) else list(values))
     except (TypeError, ValueError) as exc:  # ragged rows
         raise ValidationError(f"points must be rows of integers: {exc}") from None
     kind = array.dtype.kind
-    if array.size and (kind not in "iu" or not np.can_cast(array.dtype, np.int64)):
-        raise ValidationError(f"points must be int64 integers, got {array.dtype}")
+    if array.size and (kind not in "iu" or (kind == "u" and array.max() > _INT64_MAX)):
+        raise ValidationError(f"points must be integers within int64, got {array.dtype}")
     return array.astype(np.int64, copy=False)
 
 
@@ -110,7 +113,7 @@ class PointSet:
     @classmethod
     def from_flat(cls, values: np.ndarray | Iterable[int]) -> "PointSet":
         """Build a 1-D point set from a flat iterable of ints."""
-        return cls(_int_array(values).reshape(-1, 1), dim=1)
+        return cls(values, dim=1)
 
     # -- inspection ---------------------------------------------------------
 

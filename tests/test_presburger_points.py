@@ -62,6 +62,7 @@ class TestValidation:
             np.array([[1, 2]], dtype=object),
             [["a", "b"]],
             [[2**63, 0]],  # past int64: uint64 or object dtype
+            np.array([[2**63, 0]], dtype=np.uint64),
             [[-(2**63) - 1, 0]],
         ],
     )
@@ -87,12 +88,16 @@ class TestValidation:
         assert PointSet(np.empty((0, 3)), dim=3).is_empty()
         assert PointSet.from_flat([]) == PointSet.empty(1)
 
-    def test_narrow_integer_dtypes_accepted(self):
+    def test_integer_dtypes_within_int64_accepted(self):
         ps = PointSet(np.array([[3, 1], [1, 2]], dtype=np.int8))
         assert ps.points.dtype == np.int64
         assert list(ps) == [(1, 2), (3, 1)]
         flat = PointSet.from_flat(np.arange(3, dtype=np.uint32)).flat()
         assert flat.tolist() == [0, 1, 2]
+        assert PointSet(np.array([[1, 2]], dtype=np.uint64)) == PointSet([[1, 2]])
+        high = 2**63 - 1
+        flat = PointSet.from_flat(np.array([high, 0], dtype=np.uint64)).flat()
+        assert flat.tolist() == [0, high]
 
     def test_int64_extremes_kept_exactly(self):
         low, high = -(2**63), 2**63 - 1
