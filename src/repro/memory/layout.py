@@ -149,10 +149,12 @@ class DataLayout:
         """Content identity restricted to the given arrays.
 
         A process's trace depends only on the addresses of the arrays it
-        touches, so keying its trace memo on this sub-fingerprint lets
-        workload mixes that grow (the Figure-7 cumulative mixes) reuse
-        traces built under smaller mixes: the shared arrays keep their
-        bases, and the later arrivals don't invalidate anything.
+        touches, so keying its trace memo on this sub-fingerprint lets it
+        reuse a trace built under any layout that places those arrays
+        alike.  Growing a Figure-7 mix keeps the page-aligned arrays'
+        bases, but ``default_layout`` packs the sub-page arrays after all
+        page-aligned ones, so each added task moves them and the traces of
+        the processes that touch them are rebuilt.
         """
         return (
             "base",

@@ -8,7 +8,7 @@ partitions become modular constraints.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -87,14 +87,21 @@ class Constraint:
 
     # -- evaluation --------------------------------------------------------
 
-    def holds(self, assignment: Mapping[str, int]) -> bool:
-        """Check the constraint under a full variable assignment."""
-        value = self.expr.evaluate(assignment)
+    def satisfied_by(self, value: Any) -> Any:
+        """Whether ``expr`` taking ``value`` satisfies the constraint.
+
+        ``value`` is an int or an int array; an array gives one bool per
+        element.
+        """
         if self.kind is ConstraintKind.EQ:
             return value == 0
         if self.kind is ConstraintKind.GE:
             return value >= 0
         return value % self.modulus == 0
+
+    def holds(self, assignment: Mapping[str, int]) -> bool:
+        """Check the constraint under a full variable assignment."""
+        return bool(self.satisfied_by(self.expr.evaluate(assignment)))
 
     def holds_vectorized(
         self, columns: Mapping[str, np.ndarray]
@@ -111,11 +118,7 @@ class Constraint:
             if name not in columns:
                 raise ValidationError(f"no column for variable {name!r}")
             value = value + np.asarray(columns[name], dtype=np.int64) * coeff
-        if self.kind is ConstraintKind.EQ:
-            return value == 0
-        if self.kind is ConstraintKind.GE:
-            return value >= 0
-        return value % self.modulus == 0
+        return self.satisfied_by(value)
 
     # -- structure ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import DimensionMismatchError, ValidationError
 from repro.presburger.points import PointSet
 from repro.presburger.sets import BasicSet, IntegerSet, DEFAULT_MAX_POINTS
-from repro.presburger.terms import LinearExpr
+from repro.presburger.terms import LinearExpr, var
 
 
 class AffineMap:
@@ -98,8 +98,25 @@ class AffineMap:
         domain_set: PointSet | BasicSet | IntegerSet,
         max_points: int = DEFAULT_MAX_POINTS,
     ) -> PointSet:
-        """The exact image of a set under the map (symbolic sets are grounded)."""
-        if isinstance(domain_set, (BasicSet, IntegerSet)):
+        """The exact image of a set under the map (symbolic sets are grounded).
+
+        A :class:`BasicSet` is not enumerated: each output expression is
+        evaluated over its grounding, binding the map's inputs to the
+        set's variables by position.
+        """
+        if isinstance(domain_set, BasicSet):
+            if domain_set.dim != self.input_dim:
+                raise DimensionMismatchError(self.input_dim, domain_set.dim, "image")
+            outputs = self._outputs
+            if domain_set.space != self._domain:
+                renames = {d: var(s) for d, s in zip(self._domain, domain_set.space)}
+                outputs = tuple(expr.substitute(renames) for expr in outputs)
+            grounding = domain_set.ground(max_points)
+            return PointSet(
+                np.stack([grounding.values(expr) for expr in outputs], axis=1),
+                dim=self.output_dim,
+            )
+        if isinstance(domain_set, IntegerSet):
             domain_set = domain_set.enumerate(max_points=max_points)
         if not isinstance(domain_set, PointSet):
             raise ValidationError(

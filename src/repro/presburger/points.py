@@ -7,9 +7,10 @@ bottoms out in the set algebra here, and none of it sorts rows as a void
 dtype.  A 1-D set (every ``DS`` set and footprint) is its sorted distinct
 column, so its algebra is ``searchsorted`` probes and 1-D ``np.unique``.
 An n-D set sorts with ``np.lexsort`` and dedupes by an adjacent-row scan.
-:meth:`BasicSet.enumerate`'s row-major grid is canonical by construction
-and enters through :meth:`PointSet._from_canonical`, which neither sorts
-nor checks (docs/PERFORMANCE.md says why).
+:meth:`BasicSet.enumerate` lays its points out row-major over ascending
+ranges, which is canonical by construction, and they enter through
+:meth:`PointSet._from_canonical`, which neither sorts nor checks
+(docs/PERFORMANCE.md says why).
 
 Coordinates must be integers: float and bool input is rejected, not
 truncated.  Membership follows :class:`range`: a candidate with a

@@ -18,7 +18,7 @@ from repro.programs.arrays import ArraySpec
 class AffineAccess:
     """A single affine reference to an array within a loop nest."""
 
-    __slots__ = ("_array", "_subscripts", "_is_write")
+    __slots__ = ("_array", "_subscripts", "_is_write", "_flat")
 
     def __init__(
         self,
@@ -37,6 +37,7 @@ class AffineAccess:
         self._array = array
         self._subscripts = subscripts
         self._is_write = bool(is_write)
+        self._flat: LinearExpr | None = None
 
     @property
     def array(self) -> ArraySpec:
@@ -62,8 +63,10 @@ class AffineAccess:
         return tuple(sorted(names))
 
     def flat_expr(self) -> LinearExpr:
-        """The row-major flattened element-offset expression."""
-        return self._array.linearize_exprs(self._subscripts)
+        """The row-major flattened element-offset expression (built once)."""
+        if self._flat is None:
+            self._flat = self._array.linearize_exprs(self._subscripts)
+        return self._flat
 
     def access_map(self, loop_vars: Sequence[str]) -> AffineMap:
         """The affine map from iteration points to flat element offsets.

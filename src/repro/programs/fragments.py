@@ -5,7 +5,10 @@ accesses — the unit the paper calls "Prog1"/"Prog2".  Parallelisation
 restricts the fragment's iteration space per process, producing
 :class:`FragmentPiece` objects; a piece knows its exact iteration points,
 its per-array data footprint (the paper's ``DS`` sets), and the ordered
-access stream the simulator turns into a memory trace.
+access stream the simulator turns into a memory trace.  A piece grounds
+its sub-space once (:meth:`BasicSet.ground`) and evaluates every access's
+flat offset expression over that grounding, so neither its trip count
+nor its access stream builds the iteration points.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from repro.errors import UnknownArrayError, ValidationError
 from repro.presburger.points import PointSet
-from repro.presburger.sets import BasicSet
+from repro.presburger.sets import BasicSet, Grounding
 from repro.programs.accesses import AffineAccess
 from repro.programs.arrays import ArraySpec
 from repro.programs.loops import LoopNest
@@ -117,6 +120,7 @@ class FragmentPiece:
         "_fragment",
         "_subset",
         "_label",
+        "_grounding",
         "_points_cache",
         "_data_cache",
         "_columns_cache",
@@ -126,6 +130,7 @@ class FragmentPiece:
         self._fragment = fragment
         self._subset = subset
         self._label = label
+        self._grounding: Grounding | None = None
         self._points_cache: PointSet | None = None
         self._data_cache: dict[str, PointSet] | None = None
         self._columns_cache: list[tuple[ArraySpec, np.ndarray, bool]] | None = None
@@ -155,16 +160,22 @@ class FragmentPiece:
         """Arrays touched by the parent fragment."""
         return self._fragment.arrays
 
+    def _ground(self) -> Grounding:
+        """The sub-space's grounding, computed once."""
+        if self._grounding is None:
+            self._grounding = self._subset.ground()
+        return self._grounding
+
     def iteration_points(self) -> PointSet:
         """Exact iteration points, lexicographically ordered (cached)."""
         if self._points_cache is None:
-            self._points_cache = self._subset.enumerate()
+            self._points_cache = self._ground().points()
         return self._points_cache
 
     @property
     def trip_count(self) -> int:
         """Number of iterations in the piece."""
-        return len(self.iteration_points())
+        return self._ground().size
 
     def data_sets(self) -> dict[str, PointSet]:
         """Per-array flat-element footprints — the paper's ``DS`` sets (cached).
@@ -204,19 +215,16 @@ class FragmentPiece:
         ``flat_offsets[n]`` is the element touched by this access in the
         n-th iteration (iterations in lexicographic order).  The simulator
         interleaves the columns row-by-row to recover program order.
-        Cached: trace builders call this once per layout, and the offset
-        columns are layout-independent.
+        Each column is the access's flat offset expression evaluated over
+        the piece's grounding.  Cached: trace builders call this once per
+        layout, and the offset columns are layout-independent.
         """
         if self._columns_cache is not None:
             return list(self._columns_cache)
-        points = self.iteration_points()
-        loop_vars = self._fragment.nest.variables
-        columns: dict[str, np.ndarray] = {
-            name: points.points[:, i] for i, name in enumerate(loop_vars)
-        }
+        grounding = self._ground()
         result = []
         for access in self._fragment.accesses:
-            offsets = access.access_map(loop_vars).apply_columns(columns)[:, 0]
+            offsets = grounding.values(access.flat_expr())
             offsets.setflags(write=False)
             result.append((access.array, offsets, access.is_write))
         self._columns_cache = result

@@ -18,7 +18,7 @@ from repro.presburger.sets import BasicSet
 class LoopNest:
     """An ordered perfect loop nest with constant half-open bounds."""
 
-    __slots__ = ("_bounds",)
+    __slots__ = ("_bounds", "_space")
 
     def __init__(self, bounds: Sequence[tuple[str, int, int]]) -> None:
         bounds = [(str(name), int(low), int(high)) for name, low, high in bounds]
@@ -33,6 +33,7 @@ class LoopNest:
                     f"loop {name!r} has empty bounds [{low}, {high})"
                 )
         self._bounds = tuple(bounds)
+        self._space: BasicSet | None = None
 
     @property
     def bounds(self) -> tuple[tuple[str, int, int], ...]:
@@ -62,8 +63,10 @@ class LoopNest:
         raise ValidationError(f"no loop variable {name!r} in nest {self.variables}")
 
     def space(self) -> BasicSet:
-        """The iteration space as a symbolic set."""
-        return iteration_space(self._bounds)
+        """The iteration space as a symbolic set (built once; sets are immutable)."""
+        if self._space is None:
+            self._space = iteration_space(self._bounds)
+        return self._space
 
     def __iter__(self) -> Iterator[tuple[str, int, int]]:
         return iter(self._bounds)

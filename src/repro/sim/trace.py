@@ -136,9 +136,11 @@ def build_trace(process: Process, layout, geometry: CacheGeometry) -> ProcessTra
     layout_fp = getattr(layout, "fingerprint_for", None)
     memo_key = None
     if layout_fp is not None:
-        # Scope the fingerprint to the arrays this process touches, so
-        # growing a mix (which appends arrays without moving existing
-        # ones) keeps earlier processes' traces valid.
+        # Scope the fingerprint to the arrays this process touches, so a
+        # process keeps its trace under any layout that places those
+        # arrays alike.  Growing a mix does move arrays: default_layout
+        # packs the sub-page ones after every page-aligned one, so each
+        # added task shifts them and their processes' traces are rebuilt.
         memo_key = (layout_fp(tuple(process.arrays)), geometry)
         cached = process.trace_cache_get(memo_key)
         if cached is not None:

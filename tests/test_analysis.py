@@ -219,7 +219,11 @@ def test_cli_exit_codes_end_to_end(tmp_path):
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
-            env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONPATH": env_src,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
         )
 
     good = RULE_FIXTURES["unordered-iteration"][1]

@@ -10,18 +10,27 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.presburger.builders import box, interval, strided_interval
+from repro.errors import ValidationError
 from repro.presburger.constraints import Constraint
 from repro.presburger.maps import AffineMap
 from repro.presburger.points import PointSet
-from repro.presburger.terms import LinearExpr, var
+from repro.presburger.sets import BasicSet
+from repro.presburger.terms import LinearExpr, const, var
+from repro.procgraph.graph import ExtendedProcessGraph
 from repro.procgraph.process import Process
 from repro.programs.accesses import AffineAccess
 from repro.programs.arrays import ArraySpec
 from repro.programs.fragments import ProgramFragment
 from repro.programs.loops import LoopNest
+from repro.programs.partition import block_partition, cyclic_partition
+from repro.sched.base import default_layout
+from repro.sim.config import MachineConfig
+from repro.sim.trace import build_trace
+from repro.workloads.suite import SUITE
 
 point_lists = st.lists(
     st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=40
@@ -325,3 +334,266 @@ class TestDataSetsFromOffsetColumns:
         process = Process("p", "T", [piece, whole])
         for name, footprint in process.data_sets().items():
             assert footprint == piece.data_set(name).union(whole.data_set(name))
+
+
+# -- oracle: grounding against a brute-force scan -----------------------------
+
+
+class TestExactBounds:
+    """Bounds are exact integers at any magnitude; floats would round them."""
+
+    def test_single_variable_past_2_53(self):
+        low = 2**60 + 200
+        s = box({"i": (low, low + 3)})
+        assert s.infer_bounds() == {"i": (low, low + 2)}
+        assert s.count() == 3
+        assert s.enumerate().flat().tolist() == [low, low + 1, low + 2]
+
+    def test_two_variables_near_minus_2_62(self):
+        s = box({"i": (-(2**62), -(2**62) + 4), "j": (0, 2)})
+        assert s.infer_bounds() == {"i": (-(2**62), -(2**62) + 3), "j": (0, 1)}
+        assert s.count() == 8
+
+    def test_multi_variable_propagation_past_2_53(self):
+        # j = i + 5 with i in [2**61, 2**61 + 3): j's range is exact.
+        low = 2**61
+        s = BasicSet(
+            ("i", "j"),
+            [
+                Constraint.ge(var("i"), low),
+                Constraint.lt(var("i"), low + 3),
+                Constraint.eq(var("j"), var("i") + 5),
+            ],
+        )
+        assert s.infer_bounds() == {"i": (low, low + 2), "j": (low + 5, low + 7)}
+        assert [tuple(p) for p in s.enumerate()] == [
+            (low + d, low + d + 5) for d in range(3)
+        ]
+
+    def test_non_unit_coefficients_round_inward(self):
+        # 3i >= 7 and -2i + 11 >= 0 (i <= 5.5): i in [3, 5].
+        s = BasicSet(
+            ("i",),
+            [Constraint.ge(var("i") * 3, 7), Constraint.ge(var("i") * -2 + 11)],
+        )
+        assert s.infer_bounds() == {"i": (3, 5)}
+        assert s.ground().mask is None
+        # 2i == 7 has no integer solution.
+        assert BasicSet(("i",), [Constraint.eq(var("i") * 2, 7)]).is_empty()
+
+    def test_proved_empty_sets_get_empty_intervals(self):
+        # i's range is empty and j is unconstrained: empty, not unbounded.
+        s = BasicSet(("i", "j"), [Constraint.ge(var("i"), 5), Constraint.le(var("i"), 3)])
+        assert s.infer_bounds() == {"i": (0, -1), "j": (0, -1)}
+        assert s.is_empty()
+        assert s.count() == 0
+        assert s.enumerate() == PointSet.empty(2)
+
+
+def _centered(coeffs: dict[str, int], constant: int, origin: int) -> LinearExpr:
+    """``sum(a_v * (v - origin)) + constant``: small values near ``origin``."""
+    return LinearExpr(coeffs, constant - sum(coeffs.values()) * origin)
+
+
+@st.composite
+def oracle_sets(draw):
+    """A 1-3 variable box near 0 or near either end of int64, cut by
+    single-variable equalities and inequalities with non-unit and negative
+    coefficients, multi-variable (triangles among them) and modular
+    constraints, and constant ones.  Returns the set, the box a brute
+    force scans, and whether every constraint is single-variable."""
+    dim = draw(st.integers(1, 3))
+    names = ("i", "j", "k")[:dim]
+    origin = draw(st.sampled_from(ORIGINS))
+    bounds = {}
+    for name in names:
+        low = origin + draw(st.integers(-6, 4))
+        bounds[name] = (low, low + draw(st.integers(1, 6)))
+    result = box(bounds)
+    exact_box = True
+    coefficient = st.integers(-4, 4).filter(bool)
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(
+            st.sampled_from(("single", "triangle", "coupled", "mod", "constant"))
+        )
+        if shape == "single":
+            expr = _centered(
+                {draw(st.sampled_from(names)): draw(coefficient)},
+                draw(st.integers(-12, 12)),
+                origin,
+            )
+            make = draw(st.sampled_from((Constraint.ge, Constraint.eq)))
+            result = result.with_constraints(make(expr))
+            continue
+        if shape == "constant":
+            result = result.with_constraints(Constraint.ge(const(draw(st.integers(-1, 1)))))
+            continue
+        exact_box = False
+        if shape == "triangle" and dim > 1:
+            a, b = draw(st.permutations(names))[:2]
+            expr = _centered({a: 1, b: -1}, draw(st.integers(-3, 3)), origin)
+            result = result.with_constraints(Constraint.ge(expr))
+        elif shape in ("triangle", "coupled"):
+            coeffs = {name: draw(st.integers(-3, 3)) for name in names}
+            expr = _centered(coeffs, draw(st.integers(-8, 8)), origin)
+            make = draw(st.sampled_from((Constraint.ge, Constraint.eq)))
+            result = result.with_constraints(make(expr))
+        else:
+            coeffs = {name: draw(st.integers(-3, 3)) for name in names}
+            expr = _centered(coeffs, 0, origin)
+            result = result.with_constraints(
+                Constraint.mod(expr, draw(st.integers(2, 4)), draw(st.integers(0, 3)))
+            )
+    return result, bounds, exact_box
+
+
+def _brute_force(basic: BasicSet, bounds) -> list[tuple[int, ...]]:
+    ranges = (range(lo, hi) for lo, hi in bounds.values())
+    return [p for p in itertools.product(*ranges) if basic.contains(p)]
+
+
+class TestGroundingOracle:
+    @settings(max_examples=200)
+    @given(oracle_sets())
+    def test_enumerate_count_is_empty_and_bounds(self, case):
+        basic, bounds, exact_box = case
+        rows = _brute_force(basic, bounds)
+        enumerated = basic.enumerate()
+        assert list(enumerated) == rows
+        assert enumerated.points.dtype == np.int64
+        assert enumerated == as_set(rows, basic.dim)
+        assert basic.count() == len(rows)
+        assert basic.is_empty() == (not rows)
+        inferred = basic.infer_bounds()
+        assert list(inferred) == list(basic.space)
+        if any(lo > hi for lo, hi in inferred.values()):
+            assert not rows
+            assert set(inferred.values()) == {(0, -1)}
+            return
+        for k, name in enumerate(basic.space):
+            lo, hi = inferred[name]
+            assert bounds[name][0] <= lo and hi < bounds[name][1]
+            if rows:
+                column = [p[k] for p in rows]
+                assert lo <= min(column) and max(column) <= hi
+                if exact_box:
+                    assert (lo, hi) == (min(column), max(column))
+
+    @settings(max_examples=100)
+    @given(oracle_sets(), st.data())
+    def test_values_match_pointwise_evaluation(self, case, data):
+        basic, bounds, exact_box = case
+        grounding = basic.ground()
+        origin = next(iter(bounds.values()))[0]
+        coeffs = {
+            name: data.draw(st.integers(-5, 5)) for name in basic.space
+        }
+        expr = _centered(coeffs, data.draw(st.integers(-9, 9)), origin)
+        rows = _brute_force(basic, bounds)
+        assert grounding.size == len(rows)
+        assert (grounding.mask is None) or (grounding.mask.sum() == len(rows))
+        if exact_box:
+            assert grounding.mask is None
+        assert grounding.values(expr).tolist() == [
+            expr.evaluate(dict(zip(basic.space, p))) for p in rows
+        ]
+
+    def test_values_reject_variables_outside_the_space(self):
+        with pytest.raises(ValidationError):
+            box({"i": (0, 3)}).ground().values(var("j"))
+
+
+@st.composite
+def partitioned_pieces(draw):
+    """A 1-3 deep nest whose accesses use zero, negative and repeated
+    coefficients and constant subscripts, split by ``whole()``,
+    ``block_partition`` or ``cyclic_partition`` on a random loop."""
+    depth = draw(st.integers(1, 3))
+    names = ("i", "j", "k")[:depth]
+    bounds = []
+    for name in names:
+        low = draw(st.integers(-3, 2))
+        bounds.append((name, low, low + draw(st.integers(1, 5))))
+    nest = LoopNest(bounds)
+    arrays = (ArraySpec("A", (64,)), ArraySpec("B", (8, 8)), ArraySpec("C", (4, 4, 4)))
+    accesses = []
+    for _ in range(draw(st.integers(1, 4))):
+        array = draw(st.sampled_from(arrays))
+        repeated = draw(st.integers(-3, 3))
+        subscripts = []
+        for _ in range(array.rank):
+            kind = draw(st.sampled_from(("affine", "repeated", "constant")))
+            if kind == "constant":
+                subscripts.append(draw(st.integers(-2, 9)))
+            else:
+                coeffs = {
+                    name: repeated if kind == "repeated" else draw(st.integers(-3, 3))
+                    for name in names
+                }
+                subscripts.append(LinearExpr(coeffs, draw(st.integers(-4, 9))))
+        accesses.append(AffineAccess(array, subscripts, is_write=draw(st.booleans())))
+    fragment = ProgramFragment("f", nest, accesses)
+    split = draw(st.sampled_from(("whole", "block", "cyclic")))
+    if split == "whole":
+        return fragment, [fragment.whole()]
+    loop_var = draw(st.sampled_from(names))
+    low, high = nest.bounds_of(loop_var)
+    count = draw(st.integers(1, high - low))
+    partition = block_partition if split == "block" else cyclic_partition
+    return fragment, partition(fragment, count, loop_var)
+
+
+class TestPiecesReadTheGrounding:
+    @settings(max_examples=100)
+    @given(partitioned_pieces())
+    def test_access_columns_and_trip_count_match_the_access_maps(self, case):
+        fragment, pieces = case
+        loop_vars = fragment.nest.variables
+        for piece in pieces:
+            rows = _brute_force(
+                piece.subset, {name: (lo, hi) for name, lo, hi in fragment.nest.bounds}
+            )
+            points = piece.iteration_points()
+            assert list(points) == rows
+            assert piece.trip_count == len(points)
+            columns = {name: points.points[:, i] for i, name in enumerate(loop_vars)}
+            got = piece.access_columns()
+            assert len(got) == len(fragment.accesses)
+            for (array, offsets, is_write), access in zip(got, fragment.accesses):
+                assert array == access.array and is_write == access.is_write
+                expected_offsets = access.access_map(loop_vars).apply_columns(columns)[:, 0]
+                assert offsets.dtype == np.int64
+                assert offsets.tolist() == expected_offsets.tolist()
+                assert not offsets.flags.writeable
+        assert sum(piece.trip_count for piece in pieces) == fragment.nest.trip_count
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the trace path must not enumerate or filter")
+
+
+def test_figure7_traces_build_without_grids(monkeypatch):
+    """Every trace and DS set of the full figure-7 mix comes from the
+    groundings: no enumeration, no access-map application and no
+    constraint filter runs."""
+    tasks = [spec.build(scale=1.0) for spec in SUITE]  # fresh, uncached pieces
+    epg = ExtendedProcessGraph.from_tasks(tasks)
+    machine = MachineConfig.paper_default()
+    layout = default_layout(epg, machine)
+    monkeypatch.setattr(BasicSet, "enumerate", _refuse)
+    monkeypatch.setattr(AffineMap, "apply_columns", _refuse)
+    monkeypatch.setattr(Constraint, "holds_vectorized", _refuse)
+    accesses = 0
+    for process in epg:
+        trace = build_trace(process, layout, machine.geometry())
+        assert len(trace.lines) == sum(
+            piece.trip_count * len(piece.fragment.accesses) for piece in process.pieces
+        )
+        accesses += len(trace.lines)
+        assert process.data_sets()
+    assert accesses > 0
+    for task in tasks:
+        for process in task.processes:
+            for piece in process.pieces:
+                nest = piece.fragment.nest
+                assert nest.space() is nest.space()
