@@ -1,11 +1,11 @@
-"""Open-system benchmarks: admission overhead and incremental analysis.
+"""Open-system benchmarks: admission overhead and LA's equivalence to LS.
 
 Two claims are tracked:
 
 1. the admission path costs nothing when unused — a batch-at-zero open
    run performs the same simulation work as the closed run;
-2. LA's incremental sharing matrix does the same total Presburger work
-   as LS's up-front matrix, redistributed to admission time.
+2. LA is LS under its online-zoo name: the same plan over the same
+   sharing matrix, so its open runs match LS's.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def test_open_poisson_run(benchmark):
 
 
 def test_incremental_admission_scheduler(benchmark):
-    """LA: the sharing analysis is paid per arriving app, not up front."""
+    """LA: LS under its online-zoo name, so it dispatches exactly as LS."""
     epg = _epg()
     simulator = MPSoCSimulator(MACHINE)
     schedule = ArrivalSpec.of("poisson", rate=2000.0).build(

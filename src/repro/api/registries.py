@@ -184,7 +184,7 @@ register_scheduler(
 )
 register_scheduler(
     "LA", LocalityAdmissionScheduler, origin="builtin",
-    description="locality-aware admission: incremental sharing matrix as apps arrive",
+    description="LS under its online-zoo name: the same plan and dispatch",
 )
 
 

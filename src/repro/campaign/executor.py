@@ -13,12 +13,13 @@ into the JSON-lines store as they complete.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from repro.sched.base import Scheduler
+    from repro.sim.config import MachineConfig
     from repro.sim.results import OpenSystemResult
 
 from repro.campaign.failures import CellFailure
@@ -150,9 +151,13 @@ def clear_cell_memo() -> None:
 
 
 def _seedless_cell_key(
-    run: RunSpec, scheduler: "Scheduler"
+    run: RunSpec, scheduler: "Scheduler", machine: "MachineConfig"
 ) -> tuple[object, ...] | None:
-    """Seed-independent identity of a cell, or None if the seed matters."""
+    """Seed-independent identity of a cell, or None if the seed matters.
+
+    The machine enters by the configuration it builds, not by its
+    variant's name, so variants that build one machine share a cell.
+    """
     if scheduler.seed_sensitive or workload_seed_sensitive(run.workload):
         return None
     if run.arrival is not None and run.arrival.seed_sensitive:
@@ -160,8 +165,7 @@ def _seedless_cell_key(
     return (
         run.workload,
         run.scale,
-        run.machine.name,
-        run.machine.overrides,
+        astuple(machine),
         run.scheduler.name,
         run.scheduler.params,
         (run.arrival.process, run.arrival.params)
@@ -182,22 +186,24 @@ def _persistent_cell_key(memo_key: tuple[object, ...]) -> str:
     return fingerprint_key(memo_key)
 
 
-def _cell_persistable(run: RunSpec) -> bool:
+def _cell_persistable(run: RunSpec, machine: "MachineConfig") -> bool:
     """Whether a cell's result may outlive this process.
 
     Only cells built entirely from *builtin* registry entries persist:
-    a plugin workload, scheduler, or arrival process can change its code
-    between sessions without changing its registered name, which would
-    silently resurrect stale results from the shared store.  (The
-    in-RAM memo is unaffected — it dies with the process and therefore
-    with the plugin code that filled it.)
+    a plugin workload, scheduler, arrival process, or contention model
+    can change its code between sessions without changing its
+    registered name, which would silently resurrect stale results from
+    the shared store.  (The in-RAM memo is unaffected — it dies with the
+    process and therefore with the plugin code that filled it.)
     """
-    from repro.api.registries import ARRIVALS, SCHEDULERS, WORKLOADS
+    from repro.api.registries import ARRIVALS, CONTENTION, SCHEDULERS, WORKLOADS
 
     base = run.workload.partition(":")[0]
     if WORKLOADS.get_entry(base).origin != "builtin":
         return False
     if SCHEDULERS.get_entry(run.scheduler.name).origin != "builtin":
+        return False
+    if CONTENTION.get_entry(machine.contention).origin != "builtin":
         return False
     if run.arrival is not None:
         if ARRIVALS.get_entry(run.arrival.process).origin != "builtin":
@@ -210,6 +216,7 @@ def _adopt_cached(run: RunSpec, cached: "RunResult") -> "RunResult":
     return replace(
         cached,
         key=run.cell_key(),
+        machine=run.machine.name,
         seed=run.seed,
         scheduler=run.scheduler.effective_label,
         arrival=run.arrival.effective_label if run.arrival is not None else None,
@@ -248,9 +255,10 @@ def _execute_cell(run: RunSpec) -> RunResult:
     from repro.sim.simulator import MPSoCSimulator
 
     scheduler = run.scheduler.build(run.seed)
-    memo_key = _seedless_cell_key(run, scheduler)
+    machine = run.machine.build()
+    memo_key = _seedless_cell_key(run, scheduler, machine)
     store = active_memo_store() if memo_key is not None else None
-    if store is not None and not _cell_persistable(run):
+    if store is not None and not _cell_persistable(run, machine):
         store = None
     store_key = _persistent_cell_key(memo_key) if store is not None else None
     if memo_key is not None:
@@ -264,7 +272,6 @@ def _execute_cell(run: RunSpec) -> RunResult:
                 cached = RunResult.from_dict(payload)
                 _CELL_MEMO.put(memo_key, cached)
                 return _adopt_cached(run, cached)
-    machine = run.machine.build()
     epg = build_campaign_workload(run.workload, scale=run.scale, seed=run.seed)
     simulator = MPSoCSimulator(machine)
     open_metrics: dict[str, float] | None = None

@@ -14,8 +14,9 @@ deterministic functions of the spec.
 
 Reading the table: as the arrival rate climbs toward saturation, mean
 and p99 response times diverge between schedulers — the locality-aware
-policies (LS, LA) keep miss rates and therefore service times down,
-which compounds into shorter queues exactly when the system is busiest.
+policy keeps miss rates and therefore service times down, which
+compounds into shorter queues exactly when the system is busiest.  LA
+is LS under its online-zoo name, so their rows match.
 """
 
 from __future__ import annotations

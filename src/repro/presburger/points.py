@@ -208,8 +208,9 @@ class PointSet:
     def intersection_size(self, other: "PointSet") -> int:
         """``len(self ∩ other)`` without materialising the intermediate set.
 
-        The sharing matrix calls this for every process pair that touches
-        a common array.
+        :meth:`~repro.procgraph.process.Process.shared_bytes_with`, the
+        pairwise sharing reference, calls this for every array two
+        processes both touch.
         """
         self._check_compatible(other)
         if self.is_empty() or other.is_empty():

@@ -11,9 +11,10 @@
 - :class:`LocalityMappingScheduler` (LSM) — LS plus the Figure-4/5 data
   re-layout;
 - the online zoo (:mod:`repro.sched.online`) — :class:`GreedyEtfScheduler`
-  (ETF), :class:`WorkStealingScheduler` (WS), and
-  :class:`LocalityAdmissionScheduler` (LA), built for open-system runs
-  with dynamic application arrivals.
+  (ETF) and :class:`WorkStealingScheduler` (WS), built for open-system
+  runs with dynamic application arrivals, and
+  :class:`LocalityAdmissionScheduler` (LA), LS under its online-zoo
+  name.
 
 Every scheduler turns an EPG plus machine configuration into a
 :class:`SchedulerPlan` that the simulator executes.

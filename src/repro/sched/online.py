@@ -15,13 +15,12 @@ strategy:
 - **WS** (:class:`WorkStealingScheduler`) — each application is homed to
   a core round-robin; cores prefer their own app's ready processes and
   deterministically steal from the most-loaded victim when idle.
-- **LA** (:class:`LocalityAdmissionScheduler`) — the paper's LS dispatch
-  criteria, but the Presburger sharing matrix is built *incrementally*
-  at admission time (:class:`~repro.sharing.matrix.IncrementalSharingMatrix`):
-  each arriving app pays only its new-vs-resident pairs instead of the
-  whole-grid matrix up front.  Dispatch decisions match LS exactly when
-  the ready sets coincide; what changes is when the analysis work
-  happens — the property the open-system experiment measures.
+- **LA** (:class:`LocalityAdmissionScheduler`) — LS under its online-zoo
+  name: the same plan over the graph's memoized
+  :func:`~repro.sharing.matrix.sharing_matrix_for` matrix.  A picker
+  reads only entries of processes that have arrived, and those equal the
+  whole-graph entries, so admitting the matrix app by app would change
+  no decision.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Sequence
 from repro.memory.layout import DataLayout
 from repro.procgraph.graph import ProcessGraph
 from repro.sched.base import PlanMode, Scheduler, SchedulerPlan
-from repro.sharing.matrix import IncrementalSharingMatrix
+from repro.sched.locality import LocalityScheduler
 from repro.sim.trace import build_trace
 
 
@@ -141,64 +140,12 @@ class WorkStealingScheduler(Scheduler):
         )
 
 
-class LocalityAdmissionScheduler(Scheduler):
-    """LA: LS dispatch criteria over an incrementally-admitted sharing matrix.
+class LocalityAdmissionScheduler(LocalityScheduler):
+    """LA: LS under its online-zoo name.
 
-    The matrix starts empty; the first time an app's processes show up in
-    the simulator's ready/running sets (i.e. the app has arrived), the
-    whole app is admitted and only its pairs against resident apps are
-    intersected.  In closed mode every app is admitted on the first
-    dispatch, degenerating to LS with the same total analysis cost.
+    It inherits LS's ``prepare``, so its plans read the graph's memoized
+    sharing matrix and dispatch by LS's criteria.
     """
 
     name = "LA"
     seed_sensitive = False
-
-    def prepare(
-        self,
-        epg: ProcessGraph,
-        machine: MachineConfig,
-        layout: DataLayout,
-    ) -> SchedulerPlan:
-        """Build the lazily-admitted LS picker."""
-        sharing = IncrementalSharingMatrix()
-        app_of = {process.pid: process.task_name for process in epg}
-        processes_of: dict[str, list] = {}
-        for process in epg:
-            processes_of.setdefault(process.task_name, []).append(process)
-        admitted: set[str] = set()
-
-        def ensure_admitted(pids: Sequence[str]) -> None:
-            for pid in pids:
-                app = app_of[pid]
-                if app not in admitted:
-                    sharing.admit(processes_of[app])
-                    admitted.add(app)
-
-        def picker(
-            core_id: int,
-            ready: Sequence[str],
-            last_pid: str | None,
-            running: Sequence[str],
-        ) -> str:
-            ensure_admitted(ready)
-            if last_pid is not None:
-                ensure_admitted((last_pid,))
-            ensure_admitted(running)
-            if len(ready) == 1:
-                return ready[0]
-            affinity = sharing.affinity(last_pid, ready)
-            concurrent = sharing.concurrent_load(ready, running)
-            best = min(
-                range(len(ready)),
-                key=lambda k: (-affinity[k], concurrent[k], ready[k]),
-            )
-            return ready[best]
-
-        return SchedulerPlan(
-            scheduler_name=self.name,
-            mode=PlanMode.DYNAMIC,
-            layout=layout,
-            picker=picker,
-            metadata={"sharing_incremental": sharing},
-        )

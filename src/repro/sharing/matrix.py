@@ -5,9 +5,13 @@ DS(j)``: the data touched by both process ``i`` and process ``j``.  The
 diagonal holds each process's own footprint (``SS(i,i) = DS(i)``), matching
 the paper's table.
 
-The matrix is computed exactly from the processes' enumerated data sets;
-pairs that touch no common array are skipped, which keeps construction
-near-linear for workload mixes whose tasks are data-disjoint.
+One builder computes every entry exactly from the processes' enumerated
+data sets: :meth:`IncrementalSharingMatrix.admit` makes one pass per array
+over the sorted ``DS`` columns of all the array's holders
+(:func:`_intersection_block`), and :func:`compute_sharing_matrix` is its
+one-batch case.  Processes that touch no common array never meet, which
+keeps construction near-linear for workload mixes whose tasks are
+data-disjoint.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import numpy as np
 
 from repro.errors import UnknownProcessError, ValidationError
 from repro.procgraph.process import Process
-from repro.util.invalidation import register_worker_state
-from repro.util.memo import BoundedDict
 from repro.util.tables import format_matrix
 
 if TYPE_CHECKING:
@@ -100,142 +102,157 @@ class SharingMatrix:
 def compute_sharing_matrix(processes: Sequence[Process]) -> SharingMatrix:
     """Build the exact sharing matrix for a set of processes.
 
-    Exploits array disjointness: a process pair contributes only if the two
-    processes reference at least one common array name.
+    The processes are admitted as one batch, in order, so the matrix rows
+    follow ``processes``.
     """
     processes = list(processes)
     if not processes:
         raise ValidationError("cannot build a sharing matrix for zero processes")
-    pids = [p.pid for p in processes]
-    if len(set(pids)) != len(pids):
-        raise ValidationError("duplicate process ids in sharing-matrix input")
-    n = len(processes)
-    matrix = np.zeros((n, n), dtype=np.int64)
-    data_sets = [p.data_sets() for p in processes]
-    element_sizes = [
-        {name: spec.element_size for name, spec in p.arrays.items()}
-        for p in processes
-    ]
-    for i in range(n):
-        matrix[i, i] = sum(
-            len(points) * element_sizes[i][name]
-            for name, points in data_sets[i].items()
-        )
-    # Visit only pairs that actually share an array: walk each array's
-    # owner list instead of testing all O(n²) pairs for common names —
-    # for data-disjoint task mixes almost every pair shares nothing.
-    owners: dict[str, list[int]] = {}
-    for i, footprint in enumerate(data_sets):
-        for name in footprint:
-            owners.setdefault(name, []).append(i)
-    for name, holders in owners.items():
-        if len(holders) < 2:
-            continue
-        for a in range(len(holders)):
-            i = holders[a]
-            points_i = data_sets[i][name]
-            size = element_sizes[i][name]
-            for b in range(a + 1, len(holders)):
-                j = holders[b]
-                shared = (
-                    _pair_intersection(points_i, data_sets[j][name]) * size
-                )
-                matrix[i, j] += shared
-                matrix[j, i] += shared
-    return SharingMatrix(pids, matrix)
+    sharing = IncrementalSharingMatrix()
+    sharing.admit(processes)
+    return sharing.snapshot()
 
 
-#: Pairwise intersection-size memo.  Keys are the operand ids; the entry
-#: pins both operands, so an id can never be recycled while its entry is
-#: alive.  Point sets are cached on (memoized) processes, so overlapping
-#: workload mixes re-request the same pairs once per matrix.
-_PAIR_MEMO: BoundedDict = BoundedDict(65536)
-register_worker_state(
-    __name__, "_PAIR_MEMO", note="content-addressed; values pure in keys"
-)
+_ONE = np.uint64(1)
+_BITS = np.arange(64, dtype=np.uint64)
 
 
-def _pair_intersection(a, b) -> int:
-    key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
-    entry = _PAIR_MEMO.get(key)
-    if entry is None:
-        entry = (a, b, a.intersection_size(b))
-        _PAIR_MEMO.put(key, entry)
-    return entry[2]
+def _intersection_block(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """``|c_a ∩ c_b|`` for every pair of sorted, distinct int64 columns.
+
+    Exact in int64 for any values and any number of columns, in one pass:
+
+    1. each column splits into maximal runs of consecutive values (data
+       sets are nearly contiguous, so runs are few);
+    2. a sweep over the sorted run boundaries tags every value with the
+       *pattern* of columns that hold it, a bit mask of ``ceil(h/64)``
+       words, and counts how many values carry each distinct pattern;
+    3. the block is ``incidenceᵀ · (counts × incidence)`` over the
+       distinct patterns, an integer product; its diagonal is each
+       column's length.
+
+    A boundary coordinate ``x`` tags ``x`` itself with the runs covering
+    it and the open gap up to the next boundary with the runs still open
+    after ``x``, so no run end is ever incremented past int64.
+    """
+    h = len(columns)
+    lengths = np.fromiter((len(c) for c in columns), dtype=np.intp, count=h)
+    if not lengths.any():
+        return np.zeros((h, h), dtype=np.int64)
+    values = np.concatenate(columns)
+    holder = np.repeat(np.arange(h), lengths)
+    # A difference that wraps is never 1, so the runs stay exact near
+    # the int64 limits.
+    cut = (np.diff(values) != 1) | (holder[1:] != holder[:-1])
+    first = np.concatenate(([True], cut))
+    last = np.concatenate((cut, [True]))
+    coords = np.concatenate((values[first], values[last]))
+    who = np.concatenate((holder[first], holder[last]))
+    is_stop = np.arange(len(coords)) >= np.count_nonzero(first)
+    order = np.argsort(coords, kind="stable")
+    coords, who, is_stop = coords[order], who[order], is_stop[order]
+    heads = np.flatnonzero(np.concatenate(([True], coords[1:] != coords[:-1])))
+    bit = _ONE << (who % 64).astype(np.uint64)
+    word = who // 64
+    at = np.empty((len(heads), (h + 63) // 64), dtype=np.uint64)
+    after = np.empty_like(at)
+    for w in range(at.shape[1]):
+        mine = np.where(word == w, bit, 0)
+        starts = np.bitwise_xor.reduceat(np.where(is_stop, 0, mine), heads)
+        stops = np.bitwise_xor.reduceat(np.where(is_stop, mine, 0), heads)
+        after[:, w] = np.bitwise_xor.accumulate(starts ^ stops)
+        at[:, w] = after[:, w] ^ stops
+    # Gaps between boundaries, exact as unsigned differences.
+    edges = coords[heads].view(np.uint64)
+    gaps = np.zeros(len(heads), dtype=np.uint64)
+    gaps[:-1] = edges[1:] - edges[:-1] - _ONE
+    patterns = np.concatenate((at, after))
+    counts = np.concatenate((np.ones(len(heads), dtype=np.uint64), gaps))
+    # A gap held by some column has at most that column's length.
+    keep = patterns.any(axis=1) & (counts > 0)
+    patterns, counts = patterns[keep], counts[keep].astype(np.int64)
+    order = np.lexsort(patterns.T)
+    patterns, counts = patterns[order], counts[order]
+    distinct = np.flatnonzero(
+        np.concatenate(([True], (patterns[1:] != patterns[:-1]).any(axis=1)))
+    )
+    counts = np.add.reduceat(counts, distinct)
+    incidence = (
+        ((patterns[distinct, :, None] >> _BITS) & _ONE)
+        .reshape(len(distinct), -1)[:, :h]
+        .astype(np.int64)
+    )
+    return incidence.T @ (incidence * counts[:, None])
 
 
 class IncrementalSharingMatrix:
-    """A sharing matrix grown application by application.
+    """A sharing matrix grown batch by batch; the only sharing builder.
 
-    The closed-system schedulers compute the full ``n x n`` matrix up
-    front; in an open system that front-loads Presburger work for apps
-    that have not arrived yet.  This class admits process batches as
-    their apps arrive and extends the matrix with only the new-vs-
-    resident pairs, reusing the module's pairwise intersection memo —
-    admitting ``k`` new processes against ``m`` residents costs
-    ``O(k·(m+k))`` sparse pair visits, and pairs already intersected for
-    another mix (or an earlier run) are free.
-
-    The entries are exactly the corresponding
-    :class:`SharingMatrix` entries: the growth order never changes a
-    value, only when it is computed.
+    :meth:`admit` makes one :func:`_intersection_block` pass per array
+    the batch touches, over every holder admitted so far, and writes the
+    new processes' rows and columns; resident x resident entries keep
+    their values.  Whatever the batches and their order, every entry
+    equals the corresponding :func:`compute_sharing_matrix` entry, which
+    is this class's one-batch case.
     """
 
     def __init__(self) -> None:
-        self._processes: list[Process] = []
+        self._pids: list[str] = []
         self._index: dict[str, int] = {}
-        self._data_sets: list[dict] = []
-        self._element_sizes: list[dict[str, int]] = []
-        self._owners: dict[str, list[int]] = {}
+        #: Per array: its element size (the first holder's declaration),
+        #: and each holder's matrix row and sorted ``DS`` column.
+        self._holders: dict[str, tuple[int, list[int], list[np.ndarray]]] = {}
         self._matrix = np.zeros((0, 0), dtype=np.int64)
 
     def __contains__(self, pid: str) -> bool:
         return pid in self._index
 
     def __len__(self) -> int:
-        return len(self._processes)
+        return len(self._pids)
 
     @property
     def pids(self) -> tuple[str, ...]:
         """Admitted process ids, in admission order."""
-        return tuple(p.pid for p in self._processes)
+        return tuple(self._pids)
 
     def admit(self, processes: Sequence[Process]) -> int:
-        """Admit a batch (one arriving app); returns how many were new."""
+        """Admit a batch of processes; returns how many were new."""
         for process in processes:
             if not isinstance(process, Process):
                 raise ValidationError(
                     f"expected a Process, got {type(process).__name__}"
                 )
         new = [p for p in processes if p.pid not in self._index]
+        if len({p.pid for p in new}) != len(new):
+            raise ValidationError("duplicate process ids in sharing-matrix input")
         if not new:
             return 0
-        old_n = len(self._processes)
-        n = old_n + len(new)
-        matrix = np.zeros((n, n), dtype=np.int64)
-        matrix[:old_n, :old_n] = self._matrix
-        for offset, process in enumerate(new):
-            j = old_n + offset
-            data = process.data_sets()
-            sizes = {
-                name: spec.element_size for name, spec in process.arrays.items()
-            }
-            matrix[j, j] = sum(
-                len(points) * sizes[name] for name, points in data.items()
-            )
+        # Enumerate every data set before any state changes, so a batch
+        # whose analysis raises leaves the matrix as it was.
+        data_sets = [process.data_sets() for process in new]
+        resident = len(self._pids)
+        touched: dict[str, None] = {}
+        for row, (process, data) in enumerate(zip(new, data_sets), start=resident):
+            self._index[process.pid] = row
+            self._pids.append(process.pid)
+            arrays = process.arrays
             for name, points in data.items():
-                for i in self._owners.get(name, ()):
-                    shared = (
-                        _pair_intersection(self._data_sets[i][name], points)
-                        * sizes[name]
-                    )
-                    matrix[i, j] += shared
-                    matrix[j, i] += shared
-                self._owners.setdefault(name, []).append(j)
-            self._processes.append(process)
-            self._index[process.pid] = j
-            self._data_sets.append(data)
-            self._element_sizes.append(sizes)
+                _, rows, columns = self._holders.setdefault(
+                    name, (arrays[name].element_size, [], [])
+                )
+                rows.append(row)
+                columns.append(points.flat())
+                touched[name] = None
+        n = len(self._pids)
+        matrix = np.zeros((n, n), dtype=np.int64)
+        matrix[:resident, :resident] = self._matrix
+        for name in touched:
+            size, rows, columns = self._holders[name]
+            block = _intersection_block(columns) * size
+            # Rows are in admission order: the residents come first.
+            old = np.searchsorted(rows, resident)
+            block[:old, :old] = 0
+            matrix[np.ix_(rows, rows)] += block
         self._matrix = matrix
         return len(new)
 
@@ -246,41 +263,12 @@ class IncrementalSharingMatrix:
         except KeyError as exc:
             raise UnknownProcessError(exc.args[0]) from None
 
-    def affinity(self, last_pid: str | None, ready: Sequence[str]) -> np.ndarray:
-        """``M[last][q]`` for each ready ``q`` (zeros when the core is cold)."""
-        rows = self._rows_of(ready)
-        if last_pid is None:
-            return np.zeros(len(rows), dtype=np.int64)
-        try:
-            last = self._index[last_pid]
-        except KeyError:
-            raise UnknownProcessError(last_pid) from None
-        return self._matrix[last, rows]
-
-    def concurrent_load(
-        self, ready: Sequence[str], running: Sequence[str]
-    ) -> np.ndarray:
-        """``Σ_r M[q][r]`` over running ``r``, for each ready ``q``."""
-        rows = self._rows_of(ready)
-        cols = self._rows_of(running)
-        if not len(cols):
-            return np.zeros(len(rows), dtype=np.int64)
-        return self._matrix[rows[:, None], cols].sum(axis=1)
-
-    def _rows_of(self, pids: Sequence[str]) -> np.ndarray:
-        try:
-            return np.fromiter(
-                (self._index[pid] for pid in pids), dtype=np.intp, count=len(pids)
-            )
-        except KeyError as exc:
-            raise UnknownProcessError(exc.args[0]) from None
-
     def snapshot(self) -> SharingMatrix:
         """The admitted processes' matrix as a frozen :class:`SharingMatrix`."""
         return SharingMatrix(self.pids, self._matrix.copy())
 
     def __repr__(self) -> str:
-        return f"IncrementalSharingMatrix({len(self._processes)} processes)"
+        return f"IncrementalSharingMatrix({len(self._pids)} processes)"
 
 
 #: Graph-keyed matrix memo; entries die with their graph.
@@ -292,8 +280,8 @@ _MATRIX_CACHE: "weakref.WeakKeyDictionary[ProcessGraph, SharingMatrix]" = (
 def sharing_matrix_for(epg: "ProcessGraph") -> SharingMatrix:
     """The sharing matrix of a whole graph, memoized per graph object.
 
-    LS, LS-static, and LSM each need the identical matrix for the same
-    EPG; memoizing here means one experiment (and every campaign cell
+    LS, LA, LS-static, and LSM each need the identical matrix for the
+    same EPG; memoizing here means one experiment (and every campaign cell
     sharing a memoized workload graph) computes it once.  The matrix is
     immutable and the cache is weak, so sharing it is safe and the entry
     vanishes with the graph.  A graph that gained processes since the

@@ -271,6 +271,67 @@ class TestExecutorCellPersistence:
             )
 
 
+class TestCellMemoKeysTheBuiltMachine:
+    """Machine variants that build one configuration share one cell."""
+
+    @staticmethod
+    def _runs():
+        from repro.campaign.spec import MachineVariant, RunSpec, SchedulerSpec
+
+        paper = MachineVariant()
+        alias = MachineVariant.from_overrides("cache size=8192", cache_size_bytes=8192)
+        assert alias.build() == paper.build()
+        return [
+            RunSpec(
+                workload="MxM",
+                machine=machine,
+                scheduler=SchedulerSpec("LS"),
+                seed=seed,
+                scale=0.25,
+            )
+            for machine, seed in ((paper, 0), (alias, 5))
+        ]
+
+    @pytest.fixture
+    def no_store(self):
+        from repro.campaign.executor import clear_cell_memo
+
+        previous = active_memo_store()
+        configure_memo_store(None)
+        clear_cell_memo()
+        yield
+        clear_cell_memo()
+        configure_memo_store(previous.root if previous is not None else None)
+
+    def test_two_variant_names_run_one_simulation(self, no_store, monkeypatch):
+        from repro.campaign.executor import execute_run
+        from repro.sim.simulator import MPSoCSimulator
+
+        calls = []
+        original = MPSoCSimulator.run
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MPSoCSimulator, "run", counted)
+        first, second = (execute_run(run) for run in self._runs())
+        assert len(calls) == 1
+        assert second.makespan_cycles == first.makespan_cycles
+
+    def test_adopted_result_carries_its_own_labels(self, no_store):
+        from repro.campaign.executor import clear_cell_memo, execute_run
+
+        paper_run, alias_run = self._runs()
+        execute_run(paper_run)
+        adopted = execute_run(alias_run)
+        assert adopted.machine == "cache size=8192"
+        assert adopted.key == alias_run.cell_key()
+        assert adopted.seed == 5
+        clear_cell_memo()
+        assert adopted.to_dict() == execute_run(alias_run).to_dict()
+
+
 class TestPluginPersistenceRestriction:
     def test_plugin_scheduler_cells_never_persist(self, tmp_path):
         """Plugin code can change between sessions without changing its
@@ -302,6 +363,41 @@ class TestPluginPersistenceRestriction:
         finally:
             clear_cell_memo()
             SCHEDULERS.unregister("store-test-ls")
+            configure_memo_store(
+                previous.root if previous is not None else None
+            )
+
+    def test_plugin_contention_cells_never_persist(self, tmp_path):
+        """A plugin contention model is plugin code on the machine axis."""
+        from repro.api import CONTENTION, register_contention
+        from repro.campaign.executor import clear_cell_memo, execute_run
+        from repro.campaign.spec import MachineVariant, RunSpec, SchedulerSpec
+        from repro.sim.contention import bus_contention
+
+        def run_on(contention: str):
+            execute_run(
+                RunSpec(
+                    workload="MxM",
+                    machine=MachineVariant.from_overrides(
+                        "port", contention=contention
+                    ),
+                    scheduler=SchedulerSpec("LS"),
+                    seed=0,
+                    scale=0.25,
+                )
+            )
+            return active_memo_store().counts().get("cell", 0)
+
+        previous = active_memo_store()
+        register_contention("port-x", bus_contention)
+        try:
+            configure_memo_store(tmp_path / "memo")
+            clear_cell_memo()
+            assert run_on("port-x") == 0
+            assert run_on("bus") == 1  # the same builder, registered builtin
+        finally:
+            clear_cell_memo()
+            CONTENTION.unregister("port-x")
             configure_memo_store(
                 previous.root if previous is not None else None
             )

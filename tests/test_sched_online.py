@@ -75,7 +75,7 @@ class TestOnlineSchedulers:
             assert name in SCHEDULERS
 
     def test_la_matches_ls_dispatch_for_closed_runs(self):
-        """LA is LS with lazy analysis: identical schedules, closed mode."""
+        """LA is LS under its online-zoo name: identical schedules, closed mode."""
         epg = build_workload_mix(3, scale=0.25)
         sim = MPSoCSimulator(MachineConfig.paper_default())
         ls = sim.run(epg, LocalityScheduler())
@@ -83,19 +83,39 @@ class TestOnlineSchedulers:
         assert la.makespan_cycles == ls.makespan_cycles
         assert la.schedule == ls.schedule
 
-    def test_la_matches_ls_dispatch_for_open_runs(self):
-        epg = build_arrival_stream(4, scale=0.25, seed=3)
-        machine = MachineConfig.paper_default()
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("contention", ["none", "bus"])
+    def test_la_matches_ls_dispatch_for_open_runs(self, seed, contention):
+        from repro.campaign.executor import _open_metrics
         from repro.sim import ArrivalSpec
 
+        epg = build_arrival_stream(4, scale=0.25, seed=seed)
+        machine = MachineConfig(contention=contention)
         schedule = ArrivalSpec.of("poisson", rate=2500.0).build(
-            epg.task_names, 3, machine
+            epg.task_names, seed, machine
         )
         sim = MPSoCSimulator(machine)
         ls = sim.run_open(epg, LocalityScheduler(), schedule)
         la = sim.run_open(epg, LocalityAdmissionScheduler(), schedule)
         assert la.makespan_cycles == ls.makespan_cycles
         assert la.schedule == ls.schedule
+        assert la.total_cache.hits == ls.total_cache.hits
+        assert la.total_cache.misses == ls.total_cache.misses
+        assert _open_metrics(la) == _open_metrics(ls)
+
+    def test_la_and_ls_plans_share_the_graph_matrix(self):
+        from repro.sched.base import default_layout
+
+        epg = build_arrival_stream(4, scale=0.25, seed=3)
+        machine = MachineConfig.paper_default()
+        layout = default_layout(epg, machine)
+        plans = [
+            scheduler.prepare(epg, machine, layout)
+            for scheduler in (LocalityScheduler(), LocalityAdmissionScheduler())
+        ]
+        assert plans[1].scheduler_name == "LA"
+        for plan in plans:
+            assert plan.metadata["sharing_matrix"] is sharing_matrix_for(epg)
 
     def test_etf_prefers_shorter_jobs(self):
         epg = build_workload_mix(2, scale=0.25)

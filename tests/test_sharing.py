@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.errors import UnknownArrayError, UnknownProcessError, ValidationError
@@ -17,7 +21,13 @@ from repro.programs.fragments import ProgramFragment
 from repro.programs.loops import LoopNest
 from repro.programs.partition import block_partition
 from repro.sharing.conflicts import ConflictMatrix, compute_conflict_matrix
-from repro.sharing.matrix import SharingMatrix, compute_sharing_matrix
+from repro.sharing.matrix import (
+    IncrementalSharingMatrix,
+    SharingMatrix,
+    _intersection_block,
+    compute_sharing_matrix,
+)
+from repro.workloads.suite import build_arrival_stream, build_workload_mix
 
 
 def window_processes(rows: int = 8, overlap: bool = True) -> list[Process]:
@@ -104,6 +114,132 @@ class TestSharingMatrix:
     def test_render_contains_labels(self):
         matrix = compute_sharing_matrix(window_processes())
         assert "p0" in matrix.render()
+
+
+#: Column bases: the origin and values near the int64 limits.
+BASES = (0, -(2**62), 2**62 - 512, -(2**63), 2**63 - 512)
+
+
+def random_columns(rng: np.random.Generator, holders: int, base: int, span: int):
+    """Sorted distinct int64 columns: empty, runs of offsets, or scattered."""
+    columns = []
+    for _ in range(holders):
+        kind = rng.integers(3)
+        if kind == 0:
+            offsets = np.empty(0, dtype=np.int64)
+        elif kind == 1:
+            starts = rng.integers(0, span, size=rng.integers(1, 4))
+            offsets = np.unique(np.concatenate([
+                np.arange(start, min(span, start + rng.integers(1, span + 1)))
+                for start in starts
+            ]))
+        else:
+            offsets = np.flatnonzero(rng.random(span) < rng.random())
+        columns.append(base + offsets.astype(np.int64))
+    return columns
+
+
+def brute_block(columns) -> np.ndarray:
+    """``|c_a ∩ c_b|`` pair by pair."""
+    block = np.zeros((len(columns), len(columns)), dtype=np.int64)
+    for a, first in enumerate(columns):
+        for b in range(a, len(columns)):
+            shared = len(np.intersect1d(first, columns[b], assume_unique=True))
+            block[a, b] = block[b, a] = shared
+    return block
+
+
+class TestIntersectionBlock:
+    """The per-array pass against pairwise ``np.intersect1d``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        holders=st.integers(1, 150),
+        base=st.sampled_from(BASES),
+        span=st.integers(1, 512),
+    )
+    def test_matches_pairwise_intersections(self, seed, holders, base, span):
+        columns = random_columns(np.random.default_rng(seed), holders, base, span)
+        block = _intersection_block(columns)
+        assert block.dtype == np.int64
+        assert np.array_equal(block, brute_block(columns))
+
+    @pytest.mark.parametrize("holders", [1, 63, 64, 65, 128, 129, 150])
+    @pytest.mark.parametrize(
+        "base", BASES, ids=["0", "-2**62", "2**62", "-2**63", "2**63"]
+    )
+    def test_mask_word_boundaries(self, holders, base):
+        columns = random_columns(np.random.default_rng(holders), holders, base, 200)
+        assert np.array_equal(_intersection_block(columns), brute_block(columns))
+
+    def test_one_holder_and_empty_columns(self):
+        empty = np.empty(0, dtype=np.int64)
+        column = np.array([-(2**63), 5, 6, 7, 2**63 - 1], dtype=np.int64)
+        assert _intersection_block([column]).tolist() == [[5]]
+        assert _intersection_block([empty]).tolist() == [[0]]
+        assert _intersection_block([empty, column, empty]).tolist() == [
+            [0, 0, 0], [0, 5, 0], [0, 0, 0]
+        ]
+
+    def test_full_int64_span(self):
+        low, high = -(2**63), 2**63 - 1
+        columns = [
+            np.array([low, low + 1, 0, high], dtype=np.int64),
+            np.array([low + 1, high - 1, high], dtype=np.int64),
+        ]
+        assert _intersection_block(columns).tolist() == [[4, 2], [2, 3]]
+
+
+#: Workloads whose matrices the process-level oracle checks.
+ORACLE_WORKLOADS = [
+    *((f"mix:{count}", count, 0.25, 0) for count in range(1, 7)),
+    ("stream:4", 4, 0.25, 3),  # 74 holders of one array
+    ("stream:8", 8, 0.5, 1),  # 111 holders of one array
+]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_case(workload: str, count: int, scale: float, seed: int):
+    """The processes and their pairwise reference matrix."""
+    if workload.startswith("mix"):
+        epg = build_workload_mix(count, scale=scale)
+    else:
+        epg = build_arrival_stream(count, scale=scale, seed=seed)
+    processes = epg.processes()
+    reference = np.zeros((len(processes), len(processes)), dtype=np.int64)
+    for i, process in enumerate(processes):
+        reference[i, i] = process.footprint_bytes()
+        for j in range(i + 1, len(processes)):
+            shared = process.shared_bytes_with(processes[j])
+            reference[i, j] = reference[j, i] = shared
+    return processes, reference
+
+
+@pytest.mark.parametrize(
+    "case", ORACLE_WORKLOADS, ids=[case[0] for case in ORACLE_WORKLOADS]
+)
+class TestBuilderAgainstPairwiseReference:
+    def test_compute_sharing_matrix(self, case):
+        processes, reference = oracle_case(*case)
+        matrix = compute_sharing_matrix(processes)
+        assert matrix.pids == tuple(p.pid for p in processes)
+        assert np.array_equal(matrix.matrix, reference)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_admit_in_random_batches_and_orders(self, case, seed):
+        processes, reference = oracle_case(*case)
+        rng = random.Random(seed)
+        order = list(range(len(processes)))
+        rng.shuffle(order)
+        sharing = IncrementalSharingMatrix()
+        while order:
+            size = rng.randint(1, 40)
+            sharing.admit([processes[k] for k in order[:size]])
+            order = order[size:]
+        rows = [sharing.pids.index(p.pid) for p in processes]
+        snapshot = sharing.snapshot().matrix
+        assert np.array_equal(snapshot[np.ix_(rows, rows)], reference)
 
 
 class TestConflictMatrix:
