@@ -200,8 +200,8 @@ class WorkloadFactory:
     :class:`~repro.procgraph.task.Task` (which the facade wraps).
     ``parameterized`` entries are addressed as ``"name:N"`` with
     ``1 <= N <= max_count``; ``seed_sensitive`` tells the campaign
-    executor whether the cell seed changes the built workload (it gates
-    the seed-invariant cell memo, so err on the side of ``True``).
+    executor whether the cell seed changes the built workload (it puts
+    the seed in the cell memo key, so err on the side of ``True``).
     """
 
     name: str
@@ -232,10 +232,10 @@ def register_workload(
     The builder may declare any subset of ``(count, scale, seed)``
     keyword parameters — only the ones it names are passed — and may
     return either a ready EPG or a single Task.  Plugins default to
-    ``seed_sensitive=True`` so the executor's seed-invariant cell memo
-    never silently reuses a simulation the builder's seed should have
+    ``seed_sensitive=True`` so the executor's cell memo keys every seed
+    apart and never reuses a simulation the builder's seed should have
     changed; declare ``seed_sensitive=False`` for deterministic builders
-    to opt back into cross-seed memoization.
+    to share one cell across seeds.
     """
 
     def _register(fn: Callable[..., object]) -> Callable[..., object]:
@@ -429,7 +429,7 @@ class ArrivalFactory:
     :class:`~repro.sim.arrivals.ArrivalSchedule`; ``seed_sensitive``
     tells the campaign executor whether the cell seed changes the
     generated schedule (deterministic generators like ``batch`` and
-    ``trace`` keep cross-seed memoization alive).
+    ``trace`` share one memoized cell across seeds).
     """
 
     name: str
@@ -455,8 +455,8 @@ def register_arrival(
     :class:`~repro.util.rng.DeterministicRng` stream (never module-level
     state — the determinism tests enforce this), ``machine`` the cell's
     :class:`~repro.sim.config.MachineConfig`.  Plugins default to
-    ``seed_sensitive=True`` so the executor's cross-seed memo never
-    reuses a schedule the seed should have changed.
+    ``seed_sensitive=True`` so the executor's cell memo keys every seed
+    apart and never reuses a schedule the seed should have changed.
     """
 
     def _register(fn: Callable[..., object]) -> Callable[..., object]:

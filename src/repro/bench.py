@@ -352,7 +352,7 @@ def _bench_campaign_jobs(quick: bool) -> dict:
     ``figure7-cold-with-jobs``: every run is a cold *process* (the "N
     worker cold starts" the store exists to amortize).  The first run
     also starts from an empty store; the second reads the analyses and
-    seed-invariant cells the first persisted.  Both compare against the
+    campaign cells the first persisted.  Both compare against the
     pre-PR-5 wall-clock pinned in
     :data:`PRE_PR5_FIGURE7_JOBS4_SECONDS`.
     """
@@ -393,9 +393,9 @@ def _bench_open_system_memo(quick: bool) -> dict:
     """Warm-start behaviour of ``repro open-system --smoke``.
 
     Two cold-process invocations sharing one persistent memo directory;
-    the second skips every trace analysis (and the campaign's
-    seed-invariant cells) via the store.  The result store lives in the
-    same scratch directory so the runs never touch ``.repro-campaign``.
+    the second skips every trace analysis (and the campaign's cells)
+    via the store.  The result store lives in the same scratch
+    directory so the runs never touch ``.repro-campaign``.
     """
     memo_dir = tempfile.mkdtemp(prefix="repro-bench-osys-")
     try:

@@ -1,7 +1,7 @@
 """Persistent, cross-process memo store for expensive analysis results.
 
 The in-process memos (:data:`repro.cache.memo.TRACE_MEMO` and the
-campaign executor's seed-invariant cell memo) die with their process, so
+campaign executor's cell memo) die with their process, so
 ``repro campaign --jobs N`` pays N cold starts and every fresh
 ``repro open-system`` invocation re-analyzes identical traces.  This
 module adds the shared substrate underneath both: an SQLite database
@@ -10,9 +10,10 @@ holding
 - **trace analyses** — pickled :class:`~repro.cache.fast_engine.TraceAnalysis`
   records keyed by ``(num_sets, associativity, trace fingerprint)``, the
   exact key of the in-RAM memo; and
-- **seed-invariant campaign cells** — the JSON payload of a
-  :class:`~repro.campaign.executor.RunResult`, keyed by the cell's
-  seed-independent identity fingerprint.
+- **campaign cells** — the JSON payload of a
+  :class:`~repro.campaign.executor.RunResult`, keyed by the fingerprint
+  of everything that determines the cell (the seed only where a
+  scheduler, workload or arrival process draws from it).
 
 Both value kinds are pure functions of their keys (memoized results are
 bit-identical to recomputation), which is what makes concurrent writers
@@ -66,8 +67,8 @@ DB_NAME = "memo.sqlite"
 def fingerprint_key(identity: object) -> str:
     """The store key for a deterministic identity tuple.
 
-    One definition for every client (the executor's seed-invariant
-    cells, the sharing-matrix memo): keys are a cross-process,
+    One definition for every client (the executor's campaign cells,
+    the sharing-matrix memo): keys are a cross-process,
     cross-revision contract, so the derivation must never fork.  The
     identity's ``repr`` must be deterministic — tuples of primitives.
     """
@@ -373,10 +374,10 @@ class MemoStore:
             ),
         )
 
-    # -- seed-invariant campaign cells ---------------------------------------
+    # -- campaign cells -------------------------------------------------------
 
     def get_cell(self, key: str) -> dict[str, object] | None:
-        """Fetch a persisted seed-invariant cell payload, or None."""
+        """Fetch a persisted campaign cell payload, or None."""
         blob = self._get("cell", key)
         if blob is None:
             return None
@@ -387,7 +388,7 @@ class MemoStore:
         return payload if isinstance(payload, dict) else None
 
     def put_cell(self, key: str, payload: dict[str, object]) -> None:
-        """Persist a seed-invariant cell payload (idempotent)."""
+        """Persist a campaign cell payload (idempotent)."""
         self._put("cell", key, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     # -- administration ------------------------------------------------------

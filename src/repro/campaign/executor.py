@@ -12,6 +12,7 @@ into the JSON-lines store as they complete.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from repro.sched.base import Scheduler
+    from repro.sim.arrivals import ArrivalSpec
     from repro.sim.config import MachineConfig
     from repro.sim.results import OpenSystemResult
 
@@ -136,9 +138,9 @@ class RunResult:
         )
 
 
-#: Per-process memo of seed-invariant cells: a deterministic scheduler
-#: on a seed-independent workload produces identical results for every
-#: seed of the grid, so its replicas reuse one simulation.
+#: Per-process memo of campaign cells, keyed by what determines each
+#: result (:func:`_cell_memo_key`): replicas, aliases and re-runs of one
+#: cell reuse one simulation.
 _CELL_MEMO: BoundedDict = BoundedDict(4096)
 register_worker_state(
     __name__, "_CELL_MEMO", note="content-addressed; values pure in keys"
@@ -146,36 +148,61 @@ register_worker_state(
 
 
 def clear_cell_memo() -> None:
-    """Drop all memoized seed-invariant cells (benchmarks, tests)."""
+    """Drop all memoized campaign cells (benchmarks, tests)."""
     _CELL_MEMO.clear()
 
 
-def _seedless_cell_key(
+def _cell_memo_key(
     run: RunSpec, scheduler: "Scheduler", machine: "MachineConfig"
 ) -> tuple[object, ...] | None:
-    """Seed-independent identity of a cell, or None if the seed matters.
+    """Everything that determines a cell's result, as its memo key.
 
     The machine enters by the configuration it builds, not by its
     variant's name, so variants that build one machine share a cell.
+    A cell whose scheduler, workload or arrival process draws from the
+    seed ends in ``("seed", run.seed)``: every one of its random draws
+    comes from that seed.  Any other cell keeps one key across seeds,
+    so its replicas share one simulation.  None only for a ``trace``
+    arrival file that cannot be read; the cell then fails as it would
+    without a memo.
     """
-    if scheduler.seed_sensitive or workload_seed_sensitive(run.workload):
-        return None
-    if run.arrival is not None and run.arrival.seed_sensitive:
-        return None
-    return (
+    arrival: tuple[object, ...] | None = None
+    seeded = scheduler.seed_sensitive or workload_seed_sensitive(run.workload)
+    if run.arrival is not None:
+        arrival = _arrival_identity(run.arrival)
+        if arrival is None:
+            return None
+        seeded = seeded or run.arrival.seed_sensitive
+    key: tuple[object, ...] = (
         run.workload,
         run.scale,
         astuple(machine),
         run.scheduler.name,
         run.scheduler.params,
-        (run.arrival.process, run.arrival.params)
-        if run.arrival is not None
-        else None,
+        arrival,
     )
+    return key + (("seed", run.seed),) if seeded else key
+
+
+def _arrival_identity(arrival: "ArrivalSpec") -> tuple[object, ...] | None:
+    """``(process, params)``, plus the file's SHA-256 for a ``trace`` file.
+
+    ``trace`` reads its ``path`` when the schedule is built, so the
+    file's bytes determine the cell, not its name.
+    """
+    identity: tuple[object, ...] = (arrival.process, arrival.params)
+    path = dict(arrival.params).get("path") if arrival.process == "trace" else None
+    if path is None:
+        return identity
+    try:
+        data = Path(path).read_bytes()
+    except (OSError, TypeError):
+        return None
+    return identity + (hashlib.sha256(data).hexdigest(),)
 
 
 def _persistent_cell_key(memo_key: tuple[object, ...]) -> str:
-    """Stable store key for a seed-invariant cell identity.
+    """Stable store key for a cell identity.
 
     The in-RAM key is a tuple of primitives whose ``repr`` is
     deterministic across processes and interpreter runs, so its digest
@@ -256,7 +283,7 @@ def _execute_cell(run: RunSpec) -> RunResult:
 
     scheduler = run.scheduler.build(run.seed)
     machine = run.machine.build()
-    memo_key = _seedless_cell_key(run, scheduler, machine)
+    memo_key = _cell_memo_key(run, scheduler, machine)
     store = active_memo_store() if memo_key is not None else None
     if store is not None and not _cell_persistable(run, machine):
         store = None

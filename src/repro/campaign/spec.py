@@ -97,9 +97,10 @@ def _workload_factory(ref: str) -> WorkloadFactory:
 def workload_seed_sensitive(ref: str) -> bool:
     """Whether the cell seed changes the workload a reference builds.
 
-    The executor's seed-invariant cell memo consults this, so it must
-    stay conservative: plugin workloads default to seed-sensitive unless
-    they were registered with ``seed_sensitive=False``.
+    The executor's cell memo puts the seed in its key when this holds,
+    so it must stay conservative: plugin workloads default to
+    seed-sensitive unless they were registered with
+    ``seed_sensitive=False``.
     """
     return _workload_factory(ref).seed_sensitive
 
@@ -143,7 +144,7 @@ def build_campaign_workload(
         epg = built
         # The memo key doubles as the graph's deterministic content
         # identity: builders are pure functions of it, which is what
-        # lets derived results (sharing matrices, seed-invariant cells)
+        # lets derived results (sharing matrices, campaign cells)
         # persist across processes in the shared memo store.  Builtin
         # workloads only: a plugin's builder code can change between
         # sessions without changing its reference, so nothing derived

@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--memo-dir", type=str, default=None, dest="memo_dir",
             help=(
                 "attach a persistent cross-process memo store (trace "
-                "analyses + seed-invariant cells); also via REPRO_MEMO_DIR"
+                "analyses + campaign cells); also via REPRO_MEMO_DIR"
             ),
         )
 
@@ -690,7 +690,7 @@ def _run_memo_command(args: argparse.Namespace) -> int:
     print(f"  size: {stats['size_bytes'] / 1024:.1f} KiB")
     print(f"  trace analyses: {entries.get('analysis', 0)}")
     print(f"  sharing matrices: {entries.get('sharing', 0)}")
-    print(f"  seed-invariant cells: {entries.get('cell', 0)}")
+    print(f"  campaign cells: {entries.get('cell', 0)}")
     if stats["health"]["status"] != "ok":
         print(
             f"  health: {stats['health']['status']} "

@@ -206,29 +206,11 @@ class PointSet:
         )
 
     def intersection_size(self, other: "PointSet") -> int:
-        """``len(self ∩ other)`` without materialising the intermediate set.
-
-        :meth:`~repro.procgraph.process.Process.shared_bytes_with`, the
-        pairwise sharing reference, calls this for every array two
-        processes both touch.
-        """
+        """``len(self ∩ other)`` without materialising the intermediate set."""
         self._check_compatible(other)
         if self.is_empty() or other.is_empty():
             return 0
         small, large = sorted((self._points, other._points), key=len)
-        if self._dim == 1:
-            # Partitioned processes mostly touch disjoint index ranges
-            # of a shared array, and co-readers often touch identical
-            # ones; both resolve without a search.
-            if small[-1, 0] < large[0, 0] or large[-1, 0] < small[0, 0]:
-                return 0
-            if (
-                len(small) == len(large)
-                and small[0, 0] == large[0, 0]
-                and small[-1, 0] == large[-1, 0]
-                and np.array_equal(small, large)
-            ):
-                return len(small)
         return int(np.count_nonzero(_member_mask(small, large)))
 
     def __eq__(self, other: object) -> bool:

@@ -189,7 +189,9 @@ class TestEngine:
             .scale(0.25)
         )
         runs = scenario.expand()
+        clear_cell_memo()
         serial = Engine().run_many(runs)
+        clear_cell_memo()
         threads = Engine(jobs=2, policy="threads").run_many(runs)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in threads]
 

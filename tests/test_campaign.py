@@ -8,7 +8,7 @@ import pytest
 
 from repro.api.engine import Engine
 from repro.api.registries import MACHINES
-from repro.campaign.executor import RunResult, execute_run
+from repro.campaign.executor import RunResult, clear_cell_memo, execute_run
 from repro.campaign.rollup import (
     CSV_COLUMNS,
     render_rollup,
@@ -243,14 +243,19 @@ class TestExecutor:
 
     def test_run_campaign_deterministic(self):
         spec = tiny_campaign(seeds=(0, 1))
+        clear_cell_memo()
         a = Engine().run_campaign(spec).results
+        clear_cell_memo()  # the second run simulates every cell again
         b = Engine().run_campaign(spec).results
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
     def test_parallel_matches_serial(self):
         spec = tiny_campaign(seeds=(0, 1))
+        clear_cell_memo()
         serial = Engine(jobs=1).run_campaign(spec).results
-        parallel = Engine(jobs=2).run_campaign(spec).results
+        clear_cell_memo()  # private workers fork with an empty cell memo
+        with Engine(jobs=2, private_pool=True) as engine:
+            parallel = engine.run_campaign(spec).results
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
     def test_results_in_expansion_order(self):

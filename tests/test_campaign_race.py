@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 
 from repro.api.engine import Engine
+from repro.campaign.executor import clear_cell_memo
 from repro.campaign.spec import CampaignSpec, MachineVariant, SchedulerSpec
 from repro.campaign.store import ResultStore
 from repro.serve.service import result_fingerprint
@@ -45,6 +46,7 @@ class TestConcurrentResume:
         spec = _spec()
         store_path = tmp_path / "race.jsonl"
         barrier = multiprocessing.Barrier(2)
+        clear_cell_memo()  # forked racers simulate every cell themselves
         racers = [
             multiprocessing.Process(
                 target=_resumer,
@@ -62,6 +64,7 @@ class TestConcurrentResume:
         expected_keys = {run.cell_key() for run in spec.expand()}
         assert set(results) == expected_keys  # no lost, no duplicate cells
 
+        clear_cell_memo()
         baseline = Engine().run_campaign(spec)
         assert result_fingerprint(list(results.values())) == (
             result_fingerprint(baseline.results)

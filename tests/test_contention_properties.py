@@ -391,6 +391,7 @@ class TestDeterminism:
         inline = Engine(jobs=1).run_campaign(spec)
         clear_cell_memo()
         again = Engine(jobs=1).run_campaign(spec)
+        clear_cell_memo()
         pooled = Engine(jobs=2, policy="threads").run_campaign(spec)
         assert self._key(inline) == self._key(again) == self._key(pooled)
         assert all(r.queue_delay_cycles is not None for r in inline.results)

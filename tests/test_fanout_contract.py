@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import Engine, register_scheduler
 from repro.api.registries import SCHEDULERS
+from repro.campaign.executor import clear_cell_memo
 from repro.campaign.spec import CampaignSpec, MachineVariant, SchedulerSpec
 from repro.errors import CampaignError
 from repro.sched.base import Scheduler
@@ -64,8 +65,8 @@ def _run(policy, runs, plan=None, **knobs):
     failures = []
     configure_fault_plan(plan)
     try:
-        engine = Engine(**POLICIES[policy], **knobs)
-        results = engine.run_many(runs, on_failure=failures.append)
+        with Engine(**POLICIES[policy], **knobs) as engine:
+            results = engine.run_many(runs, on_failure=failures.append)
     finally:
         configure_fault_plan(None)
     return results, failures
@@ -73,16 +74,23 @@ def _run(policy, runs, plan=None, **knobs):
 
 @pytest.fixture(scope="module")
 def faulted(tmp_path_factory):
-    """Every policy's outcome over the grid under the shared fault plan."""
+    """Every policy's outcome over the grid under the shared fault plan.
+
+    Each policy simulates every cell itself: the cell memo is cleared
+    before each run, and pool workers are private, so they fork with it
+    empty.
+    """
     outcomes = {}
     for policy in POLICIES:
         ledger = tmp_path_factory.mktemp(f"ledger-{policy}")
+        clear_cell_memo()
         outcomes[policy] = _run(
             policy,
             _grid(),
             plan=f"ledger={ledger}; {FAULTS}",
             max_retries=1,
             keep_going=True,
+            private_pool=True,
         )
     return outcomes
 
@@ -90,8 +98,9 @@ def faulted(tmp_path_factory):
 class TestPoliciesAgreeUnderFaults:
     def test_serial_quarantines_exactly_the_persistent_fault(self, faulted):
         runs = _grid()
-        clean, _ = _run("serial", runs)
         results, failures = faulted["serial"]
+        clear_cell_memo()
+        clean, _ = _run("serial", runs)
         broken = runs[7]  # Shape|LS|seed=1 in declaration order
         assert broken.workload == "Shape" and broken.scheduler.name == "LS"
         assert _comparable(results) == _comparable(

@@ -304,7 +304,7 @@ class TestCampaignMemoCorrectness:
         TRACE_MEMO.clear()
         clear_cell_memo()
         cold = snapshot(Engine().run_campaign(spec))
-        # Everything is now memoized: workloads, seed-invariant cells and,
+        # Everything is now memoized: workloads, campaign cells and,
         # without the kernel, analyses.  A re-run must reproduce the cold
         # results exactly.
         warm = snapshot(Engine().run_campaign(spec))

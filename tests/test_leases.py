@@ -19,6 +19,7 @@ import pytest
 
 import repro.campaign.leases as leases
 from repro.api.engine import _SHARED_POOL, Engine
+from repro.campaign.executor import clear_cell_memo
 from repro.campaign.failures import classify_failure
 from repro.campaign.leases import (
     LEASE_HEARTBEAT_FRACTION,
@@ -214,6 +215,7 @@ class TestReaper:
         exhausts, the retry beats normally, and the campaign matches the
         fault-free run."""
         baseline = Engine().run_campaign(_spec())
+        clear_cell_memo()  # the retired pool's successor forks without it
         monkeypatch.setattr(leases, "_beat", lambda path, interval, stop: None)
         _SHARED_POOL.retire(kill=True)
         fault_plan(

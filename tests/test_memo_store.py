@@ -271,6 +271,201 @@ class TestExecutorCellPersistence:
             )
 
 
+class TestCellMemoKeysTheSeed:
+    """Seeded cells key on their seed, so they enter the memo and store."""
+
+    @staticmethod
+    def _run(scheduler="RS", seed=0, workload="mix:2", arrival=None):
+        from repro.campaign.spec import MachineVariant, RunSpec, SchedulerSpec
+
+        return RunSpec(
+            workload=workload,
+            machine=MachineVariant(),
+            scheduler=SchedulerSpec(scheduler),
+            seed=seed,
+            scale=0.25,
+            arrival=arrival,
+        )
+
+    @staticmethod
+    def _key(run):
+        from repro.campaign.executor import _cell_memo_key
+
+        return _cell_memo_key(
+            run, run.scheduler.build(run.seed), run.machine.build()
+        )
+
+    @pytest.fixture
+    def store_dir(self, tmp_path):
+        from repro.campaign.executor import clear_cell_memo
+
+        previous = active_memo_store()
+        clear_cell_memo()
+        yield tmp_path / "memo"
+        clear_cell_memo()
+        configure_memo_store(previous.root if previous is not None else None)
+
+    def test_one_seed_one_key_different_seeds_different_keys(self):
+        from repro.sim.arrivals import ArrivalSpec
+
+        poisson = ArrivalSpec.of("poisson", rate=2000.0)
+        for kwargs in (
+            {"scheduler": "RS"},
+            {"scheduler": "LS", "workload": "stream:2", "arrival": poisson},
+        ):
+            keys = [self._key(self._run(seed=seed, **kwargs)) for seed in (0, 0, 1, 2)]
+            assert None not in keys
+            assert keys[0] == keys[1]
+            assert len(set(keys)) == 3
+        # Scheduler, workload and arrival all seed-invariant: one key.
+        for arrival in (None, ArrivalSpec.of("batch")):
+            invariant = {
+                self._key(self._run("LS", seed, arrival=arrival)) for seed in (0, 1, 2)
+            }
+            assert len(invariant) == 1
+        # A seeded key is the seedless layout plus the seed, so the two
+        # kinds never collide.
+        seedless = self._key(self._run("LS", 4))
+        seeded = self._key(self._run("RS", 4))
+        assert seeded[-1] == ("seed", 4) and len(seeded) == len(seedless) + 1
+
+    def test_warm_rs_cell_comes_from_store(self, store_dir, monkeypatch):
+        from repro.campaign.executor import clear_cell_memo, execute_run
+        from repro.sim.simulator import MPSoCSimulator
+
+        configure_memo_store(store_dir)
+        run = self._run("RS", seed=3)
+        first = execute_run(run)
+        assert active_memo_store().counts().get("cell", 0) == 1
+        clear_cell_memo()  # a "new process"
+
+        def boom(*args, **kwargs):
+            raise AssertionError("cell should come from the store")
+
+        monkeypatch.setattr(MPSoCSimulator, "run", boom)
+        assert execute_run(run).to_dict() == first.to_dict()
+
+    def test_stored_payload_equals_recomputation(self, store_dir, monkeypatch):
+        """Every builtin scheduler, seeds 0-2, closed and open cells."""
+        from repro.api.registries import SCHEDULERS
+        from repro.campaign.executor import (
+            _persistent_cell_key,
+            clear_cell_memo,
+            execute_run,
+        )
+        from repro.serve.service import result_fingerprint
+        from repro.sim.arrivals import ArrivalSpec
+        from repro.sim.simulator import MPSoCSimulator
+
+        builtin = [
+            entry.name for entry in SCHEDULERS.entries() if entry.origin == "builtin"
+        ]
+        assert "RS" in builtin and len(builtin) >= 9
+        poisson = ArrivalSpec.of("poisson", rate=2000.0)
+        # A static plan cannot admit arrivals, so LS-static runs closed only.
+        runs = [
+            self._run(name, seed)
+            for name in builtin
+            for seed in (0, 1, 2)
+        ] + [
+            self._run(name, seed, workload="stream:2", arrival=poisson)
+            for name in builtin
+            if name != "LS-static"
+            for seed in (0, 1, 2)
+        ]
+        configure_memo_store(store_dir)
+        for run in runs:
+            execute_run(run)
+        clear_cell_memo()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("cell should come from the store")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MPSoCSimulator, "run", boom)
+            patch.setattr(MPSoCSimulator, "run_open", boom)
+            warm = [execute_run(run) for run in runs]
+        store = active_memo_store()
+        payloads = [store.get_cell(_persistent_cell_key(self._key(run))) for run in runs]
+        configure_memo_store(None)
+        fresh = []
+        for run in runs:
+            clear_cell_memo()
+            fresh.append(execute_run(run))
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in fresh]
+        assert result_fingerprint(warm) == result_fingerprint(fresh)
+        for run, payload, result in zip(runs, payloads, fresh):
+            if self._key(run)[-1] == ("seed", run.seed):
+                assert payload == result.to_dict()
+
+
+class TestTraceArrivalKeysTheFile:
+    """A ``trace`` cell is keyed on its file's bytes, not its path."""
+
+    @staticmethod
+    def _run(path):
+        from repro.campaign.spec import MachineVariant, RunSpec, SchedulerSpec
+        from repro.sim.arrivals import ArrivalSpec
+
+        return RunSpec(
+            workload="mix:2",
+            machine=MachineVariant(),
+            scheduler=SchedulerSpec("LS"),
+            seed=0,
+            scale=0.25,
+            arrival=ArrivalSpec.of("trace", path=str(path)),
+        )
+
+    @staticmethod
+    def _recompute(run):
+        from repro.campaign.executor import clear_cell_memo, execute_run
+
+        previous = active_memo_store()
+        configure_memo_store(None)
+        clear_cell_memo()
+        try:
+            return execute_run(run)
+        finally:
+            clear_cell_memo()
+            configure_memo_store(previous.root if previous is not None else None)
+
+    @pytest.fixture
+    def memo(self):
+        from repro.campaign.executor import clear_cell_memo
+
+        previous = active_memo_store()
+        clear_cell_memo()
+        yield
+        clear_cell_memo()
+        configure_memo_store(previous.root if previous is not None else None)
+
+    @pytest.mark.parametrize("attach_store", [False, True], ids=["same-process", "store"])
+    def test_edited_file_is_a_new_cell(self, tmp_path, memo, attach_store):
+        from repro.campaign.executor import clear_cell_memo, execute_run
+
+        configure_memo_store(tmp_path / "memo" if attach_store else None)
+        trace = tmp_path / "arrivals.txt"
+        trace.write_text("0\n0\n")
+        run = self._run(trace)
+        before = execute_run(run)
+        trace.write_text("0\n5\n")
+        if attach_store:
+            clear_cell_memo()  # a "new process": only the store remembers
+        after = execute_run(run)
+        expected = self._recompute(run)
+        assert expected.makespan_cycles != before.makespan_cycles
+        assert after.to_dict() == expected.to_dict()
+
+    def test_unreadable_file_has_no_key_and_fails(self, tmp_path, memo):
+        from repro.campaign.executor import _cell_memo_key, execute_run
+        from repro.errors import SimulationError
+
+        run = self._run(tmp_path / "missing.txt")
+        assert _cell_memo_key(run, run.scheduler.build(0), run.machine.build()) is None
+        with pytest.raises(SimulationError, match="cannot read arrival trace"):
+            execute_run(run)
+
+
 class TestCellMemoKeysTheBuiltMachine:
     """Machine variants that build one configuration share one cell."""
 
@@ -412,8 +607,8 @@ class TestMemoCli:
         store.close()
         assert main(["memo", "stats", "--memo-dir", str(tmp_path / "memo")]) == 0
         out = capsys.readouterr().out
-        assert "seed-invariant cells: 1" in out
+        assert "campaign cells: 1" in out
         assert main(["memo", "clear", "--memo-dir", str(tmp_path / "memo")]) == 0
         assert main(["memo", "stats", "--memo-dir", str(tmp_path / "memo")]) == 0
         out = capsys.readouterr().out
-        assert "seed-invariant cells: 0" in out
+        assert "campaign cells: 0" in out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Engine, Scenario
-from repro.campaign.executor import execute_run
+from repro.campaign.executor import clear_cell_memo, execute_run
 from repro.campaign.spec import CampaignSpec, MachineVariant, RunSpec, SchedulerSpec
 from repro.errors import SimulationError, ValidationError
 from repro.sched import (
@@ -302,6 +302,7 @@ class TestOpenMetrics:
             assert metrics["throughput_apps_per_s"] > 0
             assert len(metrics["windowed_miss_rates"]) == 10
         # Determinism: re-running the sweep reproduces it exactly.
+        clear_cell_memo()
         again = Engine().run_campaign(spec)
         assert [r.to_dict() for r in again.results] == [
             r.to_dict() for r in outcome.results

@@ -70,9 +70,14 @@ class TestWorkerCrash:
         any *other* cell: with a retry budget the campaign completes and
         every result is identical to the fault-free run."""
         spec = _spec()
+        clear_cell_memo()
         baseline = Engine().run_campaign(spec)
         fault_plan(f"ledger={tmp_path}; crash@cell:Shape|*|LS|seed=0*,times=1")
-        outcome = Engine(jobs=2, max_retries=1, keep_going=True).run_campaign(spec)
+        clear_cell_memo()  # private workers fork with an empty cell memo
+        with Engine(
+            jobs=2, max_retries=1, keep_going=True, private_pool=True
+        ) as engine:
+            outcome = engine.run_campaign(spec)
         assert not outcome.failures
         assert _result_dicts(outcome.results) == _result_dicts(baseline.results)
 
@@ -377,9 +382,16 @@ class TestArtefactStability:
         """max_retries/cell_timeout/keep_going engaged (but never firing)
         must not perturb a single simulated number."""
         spec = _spec(seeds=(0,))
+        clear_cell_memo()
         plain = Engine().run_campaign(spec)
-        hardened = Engine(
-            jobs=2, max_retries=2, cell_timeout=120.0, keep_going=True
-        ).run_campaign(spec)
+        clear_cell_memo()  # private workers fork with an empty cell memo
+        with Engine(
+            jobs=2,
+            max_retries=2,
+            cell_timeout=120.0,
+            keep_going=True,
+            private_pool=True,
+        ) as engine:
+            hardened = engine.run_campaign(spec)
         assert not hardened.failures
         assert _result_dicts(plain.results) == _result_dicts(hardened.results)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.api.engine import Engine
+from repro.campaign.executor import clear_cell_memo
 from repro.campaign.spec import CampaignSpec, MachineVariant, SchedulerSpec
 from repro.errors import ServeError
 from repro.serve import (
@@ -130,6 +131,7 @@ class TestSubmitAndAttach:
 
     def test_done_matches_inprocess_run(self, tmp_path):
         baseline = Engine().run_campaign(_spec())
+        clear_cell_memo()  # the server simulates every cell again
         with start_in_thread(_config(tmp_path)) as handle:
             done = submit_converged(ServeClient(handle.port), _spec())
         assert done["fingerprint"] == result_fingerprint(baseline.results)
@@ -270,6 +272,7 @@ class TestCrashRecovery:
         replacement (same store root) finishes the campaign."""
         config = _config(tmp_path)
         baseline = Engine().run_campaign(_spec())
+        clear_cell_memo()  # the server simulates every cell again
         first = start_in_thread(config)
         port = first.port
         done1 = submit_converged(ServeClient(port), _spec())
@@ -293,6 +296,7 @@ class TestChaos:
         disconnects, and injected delays leave the converged result
         fingerprint byte-identical to a fault-free run."""
         baseline = Engine().run_campaign(_spec())
+        clear_cell_memo()  # the server simulates every cell again
         fault_plan(
             f"ledger={tmp_path / 'ledger'}; seed=3; "
             "error@serve:request:submit,times=1; "
