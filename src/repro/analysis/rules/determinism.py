@@ -133,8 +133,8 @@ def unseeded_rng(ctx: ModuleContext) -> Iterator[Finding]:
 def wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag clock/entropy reads inside the simulation packages.
 
-    Timing belongs to the harness layers (``repro.bench``, the engine's
-    retry clocks); anything under ``sim``/``cache``/``sched`` feeds
+    Timing belongs to the harness layers (the engine's retry clocks,
+    ``perfbench/``); anything under ``sim``/``cache``/``sched`` feeds
     simulated time and memo keys, where a clock read is nondeterminism.
     """
     if not ctx.in_package(*_HOT_PACKAGES):

@@ -181,20 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_robustness(osys)
     add_memo_dir(osys)
 
-    bench = sub.add_parser(
-        "bench",
-        help="time the cache kernels and one figure-7 mix; write JSON",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="CI-smoke sizes (seconds, not minutes)",
-    )
-    bench.add_argument(
-        "--output", type=str, default=".repro-bench.json",
-        help="where to write the JSON results (default: the untracked "
-        ".repro-bench.json; committed baselines are BENCH_*.json)",
-    )
-
     camp = sub.add_parser(
         "campaign",
         help="run a declarative (workload x machine x scheduler x seed) grid",
@@ -789,12 +775,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
     elif args.command == "open-system":
         return _run_open_system_command(args)
-    elif args.command == "bench":
-        from repro.bench import render_bench, run_bench, write_bench
-
-        results = run_bench(quick=args.quick)
-        print(render_bench(results))
-        print(f"\n[json written to {write_bench(results, args.output)}]")
     elif args.command == "campaign":
         return _run_campaign_command(args)
     elif args.command == "serve":

@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
-from repro.errors import UnknownArrayError, ValidationError
+from repro.errors import ValidationError
 from repro.memory.layout import DataLayout, _align_up
 from repro.programs.arrays import ArraySpec
 
@@ -125,17 +125,6 @@ class RemappedLayout:
     def spec(self, name: str) -> ArraySpec:
         """The declaration of one array."""
         return self._base.spec(name)
-
-    def is_remapped(self, name: str) -> bool:
-        """True when the array uses the Figure-4 transform."""
-        self._base.spec(name)
-        return name in self._b_offsets
-
-    def b_offset(self, name: str) -> int:
-        """The ``b`` parameter of a remapped array."""
-        if name not in self._b_offsets:
-            raise UnknownArrayError(name)
-        return self._b_offsets[name]
 
     def fingerprint(self) -> tuple:
         """Hashable content identity (see :meth:`DataLayout.fingerprint`).

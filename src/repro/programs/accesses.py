@@ -82,20 +82,6 @@ class AffineAccess:
             )
         return AffineMap(tuple(loop_vars), [self.flat_expr()])
 
-    def subscript_map(self, loop_vars: Sequence[str]) -> AffineMap:
-        """The affine map from iteration points to subscript tuples.
-
-        This is the un-flattened form used when reasoning about the data
-        space in array coordinates (the paper's ``[d1, d2]`` sets).
-        """
-        missing = set(self.loop_variables) - set(loop_vars)
-        if missing:
-            raise ValidationError(
-                f"access {self!r} uses loop variables {sorted(missing)} "
-                f"not present in {tuple(loop_vars)}"
-            )
-        return AffineMap(tuple(loop_vars), list(self._subscripts))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineAccess):
             return NotImplemented

@@ -22,15 +22,16 @@ per-core queues built round-robin by the same two criteria.  The static
 form is kept for the ablation study (and for LSM's re-layout planning,
 which needs a predicted schedule at compile time); as a dispatcher it
 cannot react to actual completion times, so on dependence-heavy mixes it
-leaves cores idle where the dynamic form does not — a trade-off
-``benchmarks/bench_ablation.py`` quantifies.
+leaves cores idle where the dynamic form does not — a trade-off the
+ablation study (``repro ablation``) quantifies and
+``tests/test_paper_claims.py`` asserts.
 
 On the trim rule: the paper's prose says the initialisation "removes the
 candidates that have the maximum data sharing with the other candidates"
 while the pseudocode's select line reads "minimized"; the prose is the
 only reading consistent with criterion 1, so it is the default, and
 ``trim="min-sharing"`` gives the literal pseudocode variant for the
-ablation benchmark.
+ablation study.
 """
 
 from __future__ import annotations

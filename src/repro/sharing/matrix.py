@@ -6,12 +6,12 @@ diagonal holds each process's own footprint (``SS(i,i) = DS(i)``), matching
 the paper's table.
 
 One builder computes every entry exactly from the processes' enumerated
-data sets: :meth:`IncrementalSharingMatrix.admit` makes one pass per array
-over the sorted ``DS`` columns of all the array's holders
-(:func:`_intersection_block`), and :func:`compute_sharing_matrix` is its
-one-batch case.  Processes that touch no common array never meet, which
-keeps construction near-linear for workload mixes whose tasks are
-data-disjoint.
+data sets: :meth:`IncrementalSharingMatrix.admit`, which
+:func:`compute_sharing_matrix` calls, makes one pass per array over the
+sorted ``DS`` columns of all the array's holders
+(:func:`_intersection_block`).  Processes that touch no common array never
+meet, which keeps construction near-linear for workload mixes whose tasks
+are data-disjoint.
 """
 
 from __future__ import annotations
@@ -108,9 +108,7 @@ def compute_sharing_matrix(processes: Sequence[Process]) -> SharingMatrix:
     processes = list(processes)
     if not processes:
         raise ValidationError("cannot build a sharing matrix for zero processes")
-    sharing = IncrementalSharingMatrix()
-    sharing.admit(processes)
-    return sharing.snapshot()
+    return IncrementalSharingMatrix().admit(processes)
 
 
 _ONE = np.uint64(1)
@@ -186,89 +184,42 @@ def _intersection_block(columns: Sequence[np.ndarray]) -> np.ndarray:
 
 
 class IncrementalSharingMatrix:
-    """A sharing matrix grown batch by batch; the only sharing builder.
+    """The sharing builder: one batch of processes in, their matrix out.
 
-    :meth:`admit` makes one :func:`_intersection_block` pass per array
-    the batch touches, over every holder admitted so far, and writes the
-    new processes' rows and columns; resident x resident entries keep
-    their values.  Whatever the batches and their order, every entry
-    equals the corresponding :func:`compute_sharing_matrix` entry, which
-    is this class's one-batch case.
+    It keeps no state between calls.  The class and :meth:`admit` keep
+    their names because the benchmark's tracer (``perfbench/tracer.py``)
+    times ``IncrementalSharingMatrix.admit`` as ``sharing.admit_s``.
     """
 
-    def __init__(self) -> None:
-        self._pids: list[str] = []
-        self._index: dict[str, int] = {}
-        #: Per array: its element size (the first holder's declaration),
-        #: and each holder's matrix row and sorted ``DS`` column.
-        self._holders: dict[str, tuple[int, list[int], list[np.ndarray]]] = {}
-        self._matrix = np.zeros((0, 0), dtype=np.int64)
+    def admit(self, processes: Sequence[Process]) -> SharingMatrix:
+        """The exact sharing matrix of ``processes``, rows in their order.
 
-    def __contains__(self, pid: str) -> bool:
-        return pid in self._index
-
-    def __len__(self) -> int:
-        return len(self._pids)
-
-    @property
-    def pids(self) -> tuple[str, ...]:
-        """Admitted process ids, in admission order."""
-        return tuple(self._pids)
-
-    def admit(self, processes: Sequence[Process]) -> int:
-        """Admit a batch of processes; returns how many were new."""
+        One :func:`_intersection_block` pass per array the processes touch,
+        over every holder of that array.
+        """
         for process in processes:
             if not isinstance(process, Process):
                 raise ValidationError(
                     f"expected a Process, got {type(process).__name__}"
                 )
-        new = [p for p in processes if p.pid not in self._index]
-        if len({p.pid for p in new}) != len(new):
+        pids = [process.pid for process in processes]
+        if len(set(pids)) != len(pids):
             raise ValidationError("duplicate process ids in sharing-matrix input")
-        if not new:
-            return 0
-        # Enumerate every data set before any state changes, so a batch
-        # whose analysis raises leaves the matrix as it was.
-        data_sets = [process.data_sets() for process in new]
-        resident = len(self._pids)
-        touched: dict[str, None] = {}
-        for row, (process, data) in enumerate(zip(new, data_sets), start=resident):
-            self._index[process.pid] = row
-            self._pids.append(process.pid)
+        # Per array: its element size (the first holder's declaration),
+        # and each holder's matrix row and sorted ``DS`` column.
+        holders: dict[str, tuple[int, list[int], list[np.ndarray]]] = {}
+        for row, process in enumerate(processes):
             arrays = process.arrays
-            for name, points in data.items():
-                _, rows, columns = self._holders.setdefault(
+            for name, points in process.data_sets().items():
+                _, rows, columns = holders.setdefault(
                     name, (arrays[name].element_size, [], [])
                 )
                 rows.append(row)
                 columns.append(points.flat())
-                touched[name] = None
-        n = len(self._pids)
-        matrix = np.zeros((n, n), dtype=np.int64)
-        matrix[:resident, :resident] = self._matrix
-        for name in touched:
-            size, rows, columns = self._holders[name]
-            block = _intersection_block(columns) * size
-            # Rows are in admission order: the residents come first.
-            old = np.searchsorted(rows, resident)
-            block[:old, :old] = 0
-            matrix[np.ix_(rows, rows)] += block
-        self._matrix = matrix
-        return len(new)
-
-    def shared(self, pid_a: str, pid_b: str) -> int:
-        """``|SS(a,b)|`` in bytes (both pids must be admitted)."""
-        try:
-            return int(self._matrix[self._index[pid_a], self._index[pid_b]])
-        except KeyError as exc:
-            raise UnknownProcessError(exc.args[0]) from None
-
-    def snapshot(self) -> SharingMatrix:
-        """The admitted processes' matrix as a frozen :class:`SharingMatrix`."""
-        return SharingMatrix(self.pids, self._matrix.copy())
-
-    def __repr__(self) -> str:
-        return f"IncrementalSharingMatrix({len(self._pids)} processes)"
+        matrix = np.zeros((len(pids), len(pids)), dtype=np.int64)
+        for size, rows, columns in holders.values():
+            matrix[np.ix_(rows, rows)] += _intersection_block(columns) * size
+        return SharingMatrix(pids, matrix)
 
 
 #: Graph-keyed matrix memo; entries die with their graph.

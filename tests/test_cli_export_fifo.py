@@ -99,14 +99,3 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["nope"])
-
-    def test_bench_default_output_is_untracked(self):
-        # A bare `repro bench` must not overwrite a committed baseline.
-        from pathlib import Path
-
-        from repro.cli import _build_parser
-
-        output = _build_parser().parse_args(["bench"]).output
-        assert not output.startswith("BENCH_")
-        gitignore = Path(__file__).resolve().parents[1] / ".gitignore"
-        assert output in gitignore.read_text().splitlines()

@@ -85,14 +85,6 @@ class TestRemappedLayout:
         sets_a = set(GEOMETRY.sets_of(layout.addrs("A", idx)).tolist())
         assert sets_a <= set(range(GEOMETRY.num_sets // 2))
 
-    def test_is_remapped_and_b_offset(self):
-        layout = self.make({"A": 0})
-        assert layout.is_remapped("A")
-        assert not layout.is_remapped("B")
-        assert layout.b_offset("A") == 0
-        with pytest.raises(UnknownArrayError):
-            layout.b_offset("B")
-
     def test_scalar_addr_matches_vectorised(self):
         layout = self.make({"A": 0})
         for i in (0, 17, 255):

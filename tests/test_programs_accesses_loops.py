@@ -46,11 +46,6 @@ class TestAffineAccess:
         with pytest.raises(ValidationError):
             access.access_map(("i",))
 
-    def test_subscript_map_unflattened(self, matrix):
-        access = AffineAccess(matrix, [var("i") + 1, var("j")])
-        smap = access.subscript_map(("i", "j"))
-        assert smap.apply((1, 2)) == (2, 2)
-
     def test_write_flag(self, matrix):
         assert AffineAccess(matrix, [0, 0], is_write=True).is_write
         assert not AffineAccess(matrix, [0, 0]).is_write

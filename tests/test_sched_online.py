@@ -1,4 +1,4 @@
-"""The online scheduler zoo, the incremental sharing matrix, and streams."""
+"""The online scheduler zoo and arrival streams."""
 
 from __future__ import annotations
 
@@ -12,11 +12,7 @@ from repro.sched import (
     LocalityScheduler,
     WorkStealingScheduler,
 )
-from repro.sharing.matrix import (
-    IncrementalSharingMatrix,
-    compute_sharing_matrix,
-    sharing_matrix_for,
-)
+from repro.sharing.matrix import sharing_matrix_for
 from repro.sim import ArrivalSchedule, MachineConfig, MPSoCSimulator
 from repro.workloads.suite import (
     SUITE,
@@ -25,48 +21,6 @@ from repro.workloads.suite import (
     build_workload_mix,
     clone_task,
 )
-
-
-class TestIncrementalSharingMatrix:
-    def test_matches_full_matrix_regardless_of_admission_order(self):
-        epg = build_workload_mix(3, scale=0.25)
-        full = sharing_matrix_for(epg)
-        by_task: dict[str, list] = {}
-        for process in epg:
-            by_task.setdefault(process.task_name, []).append(process)
-        # Admit apps in reverse order; entries must still match exactly.
-        incremental = IncrementalSharingMatrix()
-        for task in reversed(list(by_task)):
-            incremental.admit(by_task[task])
-        for a in epg.pids:
-            for b in epg.pids:
-                assert incremental.shared(a, b) == full.shared(a, b)
-
-    def test_admit_is_idempotent(self):
-        epg = build_workload_mix(1, scale=0.25)
-        incremental = IncrementalSharingMatrix()
-        processes = epg.processes()
-        assert incremental.admit(processes) == len(processes)
-        assert incremental.admit(processes) == 0
-        assert len(incremental) == len(processes)
-
-    def test_snapshot_is_a_valid_sharing_matrix(self):
-        epg = build_workload_mix(2, scale=0.25)
-        incremental = IncrementalSharingMatrix()
-        incremental.admit(epg.processes())
-        snapshot = incremental.snapshot()
-        full = compute_sharing_matrix(epg.processes())
-        pid = epg.pids[0]
-        assert snapshot.footprint(pid) == full.footprint(pid)
-
-    def test_unknown_pid_raises(self):
-        incremental = IncrementalSharingMatrix()
-        epg = build_workload_mix(1, scale=0.25)
-        incremental.admit(epg.processes())
-        from repro.errors import UnknownProcessError
-
-        with pytest.raises(UnknownProcessError):
-            incremental.shared(epg.pids[0], "ghost")
 
 
 class TestOnlineSchedulers:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import random
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from repro.programs.loops import LoopNest
 from repro.programs.partition import block_partition
 from repro.sharing.conflicts import ConflictMatrix, compute_conflict_matrix
 from repro.sharing.matrix import (
-    IncrementalSharingMatrix,
     SharingMatrix,
     _intersection_block,
     compute_sharing_matrix,
@@ -225,21 +223,6 @@ class TestBuilderAgainstPairwiseReference:
         matrix = compute_sharing_matrix(processes)
         assert matrix.pids == tuple(p.pid for p in processes)
         assert np.array_equal(matrix.matrix, reference)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_admit_in_random_batches_and_orders(self, case, seed):
-        processes, reference = oracle_case(*case)
-        rng = random.Random(seed)
-        order = list(range(len(processes)))
-        rng.shuffle(order)
-        sharing = IncrementalSharingMatrix()
-        while order:
-            size = rng.randint(1, 40)
-            sharing.admit([processes[k] for k in order[:size]])
-            order = order[size:]
-        rows = [sharing.pids.index(p.pid) for p in processes]
-        snapshot = sharing.snapshot().matrix
-        assert np.array_equal(snapshot[np.ix_(rows, rows)], reference)
 
 
 class TestConflictMatrix:
